@@ -87,4 +87,4 @@ class ModelDegenerate(InputError):
 
 
 class NoConvergence(NumericalError):
-    """Iterative routine did not converge within its sweep cap."""
+    """An iterative numerical routine (the eigensolver) did not converge."""

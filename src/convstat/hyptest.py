@@ -24,6 +24,7 @@ from .errors import (
     LatticeViolation,
     NeedTwoVariables,
     NotPaired,
+    NumericalError,
     RankOutOfRange,
     SupportMismatch,
     SupportViolation,
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 _LATTICE_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -240,27 +242,42 @@ def _parse_policy(policy):
     )
 
 
-def _wald_statistic(vec, dec: symlin.EigenDecomp, r: int) -> float:
-    """Quadratic form with the pseudo-inverted rank-r approximation.
+def _wald_terms(vec, dec: symlin.EigenDecomp, r: int) -> np.ndarray:
+    """Per-eigenpair terms of ``v' ((A^r)^+) v``.
 
-    Evaluates ``v' ((A^r)^+) v`` from the spectrum directly: among the r
-    algebraically largest eigenvalues, those below the machine-precision
-    cutoff contribute nothing (they are zeroed without touching the
-    degrees of freedom, mirroring the fixed-rank protocol).
+    Among the r algebraically largest eigenvalues, those below the
+    machine-precision cutoff contribute nothing (they are zeroed without
+    touching the degrees of freedom, mirroring the fixed-rank protocol).
     """
-    vec = np.asarray(vec, dtype=float)
-    r = min(int(r), dec.values.size)
-    kept = dec.values[:r]
-    scale = float(np.max(np.abs(kept))) if kept.size else 0.0
+    lam = dec.values[: min(int(r), dec.values.size)]
+    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
     if scale <= 0.0:
+        return np.zeros(0)
+    keep = np.abs(lam) > symlin.PINV_TOL * scale
+    proj = dec.vectors[:, : lam.size][:, keep].T @ np.asarray(vec, dtype=float)
+    return proj * proj / lam[keep]
+
+
+def _psd_wald(vec, dec: symlin.EigenDecomp, r: int) -> float:
+    """Wald form ``v' ((A^r)^+) v`` of a positive semi-definite ``A``.
+
+    Only a roundoff-negative eigenvalue among the kept ones can make the
+    sum negative.  When the positive and negative terms cancel to within
+    the summation's roundoff (d * eps of their absolute sum) the form is
+    zero to working precision and 0.0 is returned; a larger negative
+    means ``A`` is not PSD to working precision, an internal failure.
+    """
+    terms = _wald_terms(vec, dec, r)
+    stat = float(terms.sum())
+    if stat >= 0.0:
+        return stat
+    bound = dec.values.size * _EPS * float(np.abs(terms).sum())
+    if stat >= -bound:
         return 0.0
-    stat = 0.0
-    for i in range(r):
-        lam = dec.values[i]
-        if abs(lam) > symlin.PINV_TOL * scale:
-            proj = float(dec.vectors[:, i] @ vec)
-            stat += proj * proj / lam
-    return stat
+    raise NumericalError(
+        f"Wald form of a PSD covariance is negative ({stat:.3g}) beyond "
+        f"its roundoff bound {bound:.3g}"
+    )
 
 
 def _strict_rank(dec: symlin.EigenDecomp) -> int:
@@ -527,7 +544,7 @@ def gof_test(x, z, rank_policy="analytic", support_lens=None) -> TestReport:
     dof, label = _resolve_dof(
         kind, fixed_r, [epmvs], s, dec, warnings, diagnostics
     )
-    statistic = _wald_statistic(v_m, dec, dof)
+    statistic = _psd_wald(v_m, dec, dof)
     return TestReport(
         statistic=statistic,
         dof=dof,
@@ -668,7 +685,7 @@ def ed_test(
     dof, label = _resolve_dof(
         kind, fixed_r, [x_epmvs, y_epmvs], s, dec, warnings, diagnostics
     )
-    statistic = _wald_statistic(w_m, dec, dof)
+    statistic = _psd_wald(w_m, dec, dof)
     return TestReport(
         statistic=statistic,
         dof=dof,
@@ -737,7 +754,7 @@ def subind_test(paired, rank_policy=None, support_lens=None) -> TestReport:
 
     s_m = math.sqrt(m) * (conv - z_hat.pmv.probs)
     dec = symlin.eigh(ups)
-    statistic = _wald_statistic(s_m, dec, dof)
+    statistic = float(_wald_terms(s_m, dec, dof).sum())
     if statistic < 0.0:
         warnings.append(
             "indefinite covariance estimate produced a negative quadratic "
@@ -804,7 +821,7 @@ def oracle_statistics(
         dof_gf = report.analytic_rank
         if dof_gf is None:
             dof_gf = report.numeric_rank
-    gf_stat = symlin.quad_form(v_m, symlin.pinv(psi_true))
+    gf_stat = _psd_wald(v_m, symlin.eigh(psi_true), psi_true.shape[0])
     gf = TestReport(
         statistic=gf_stat,
         dof=int(dof_gf),
@@ -829,7 +846,8 @@ def oracle_statistics(
         dof_ed = report.analytic_rank
         if dof_ed is None:
             dof_ed = report.numeric_rank
-    ed_stat = symlin.quad_form(w_m, symlin.pinv(psi_true + xi_true))
+    total_true = psi_true + xi_true
+    ed_stat = _psd_wald(w_m, symlin.eigh(total_true), total_true.shape[0])
     ed = TestReport(
         statistic=ed_stat,
         dof=int(dof_ed),

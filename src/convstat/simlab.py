@@ -19,9 +19,9 @@ bit-identical results.
 
 import csv
 import dataclasses
+import functools
 import json
 import math
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,16 +131,24 @@ def _rng(seed: int, replicate: int, variable: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+@functools.lru_cache(maxsize=128)
+def _z_cuts(p: float, q: float, rho: float):
+    """Inverse-CDF cut points ``(z_0, z_0 + z_1)`` of ``z_rho(p, q, rho)``."""
+    z = z_rho(p, q, rho).probs
+    return z[0], z[0] + z[1]
+
+
 def sample_scenario(scn: SimScenario, replicate: int):
     """Draw one replicate's raw data, deterministic in (seed, replicate)."""
     x1 = (_rng(scn.seed, replicate, 0).random(scn.n1) < scn.p).astype(np.int64)
     x2 = (_rng(scn.seed, replicate, 1).random(scn.n2) < scn.q).astype(np.int64)
-    z = z_rho(scn.p, scn.q, scn.rho).probs
+    cut0, cut1 = _z_cuts(scn.p, scn.q, scn.rho)
     u = _rng(scn.seed, replicate, 2).random(scn.n3)
-    y = (u >= z[0]).astype(np.int64) + (u >= z[0] + z[1]).astype(np.int64)
+    y = (u >= cut0).astype(np.int64) + (u >= cut1).astype(np.int64)
     return x1, x2, y
 
 
+@functools.lru_cache(maxsize=128)
 def _chi2_critical(alpha: float, dof: int) -> float:
     """Smallest t with chi2_sf(t, dof) <= alpha, by bisection."""
     hi = 1.0
@@ -339,6 +347,10 @@ def run_scenario(scn: SimScenario, workers: int = 1) -> SimResult:
     if workers <= 1:
         rejects, falls = _count_block((scn, 0, scn.L))
     else:
+        # Imported here: serial runs, the common case, do not pay its
+        # import time and memory.
+        import multiprocessing
+
         chunk = -(-scn.L // int(workers))
         blocks = [
             (scn, start, min(start + chunk, scn.L))

@@ -1,10 +1,12 @@
 """Dense symmetric linear algebra used by the test statistics.
 
 Symmetric matrices are plain ``numpy.ndarray`` objects validated by
-:func:`ensure_symmetric`.  The eigensolver is a cyclic Jacobi iteration:
-the matrices here are small (a few dozen rows at most) and Jacobi retains
-high relative accuracy on tiny eigenvalues, which the rank decisions in
-the tests depend on.
+:func:`ensure_symmetric`.  The eigensolver is LAPACK's ``syevd`` through
+``numpy.linalg.eigh``.  Its eigenvalues carry absolute errors of order
+``eps * ||A||``; the covariance matrices here are singular by
+construction, so their zero eigenvalues come out as roundoff of either
+sign at that scale, and every rank or pseudo-inverse cut is taken
+relative to the largest eigenvalue.
 """
 
 import math
@@ -36,8 +38,6 @@ __all__ = [
 PINV_TOL = 1e-15
 
 _SYM_TOL = 1e-12
-_JACOBI_TOL = 1e-14
-_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -54,76 +54,41 @@ class EigenDecomp:
 
 
 def ensure_symmetric(a, name: str = "matrix") -> np.ndarray:
-    """Validate symmetry within 1e-12 * max|A| and return (A + A') / 2."""
+    """Validate finiteness and symmetry within 1e-12 * max|A|.
+
+    Returns (A + A') / 2.  NaN or infinite entries raise ``DomainError``.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"{name} must be square, got shape {a.shape}")
     scale = np.max(np.abs(a)) if a.size else 0.0
+    if not math.isfinite(scale):
+        raise DomainError(f"{name} has non-finite entries")
     if np.max(np.abs(a - a.T)) > _SYM_TOL * max(scale, 1.0):
         raise NotSymmetric(f"{name} is not symmetric within tolerance")
     return 0.5 * (a + a.T)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        big = np.abs(col) > 1e-12 * max(np.max(np.abs(col)), 1e-300)
-        idx = np.argmax(big)
-        if col[idx] < 0.0:
-            vectors[:, j] = -col
-    return vectors
+    mag = np.abs(vectors)
+    big = mag > 1e-12 * np.maximum(mag.max(axis=0), 1e-300)
+    lead = vectors[np.argmax(big, axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.where(lead < 0.0, -1.0, 1.0)
 
 
 def eigh(a) -> EigenDecomp:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by LAPACK (``syevd``).
 
-    Sweeps run until the off-diagonal Frobenius norm falls below
-    1e-14 * ||A||_F, with a cap of 100 sweeps (``NoConvergence`` beyond).
+    Raises ``NoConvergence`` when LAPACK reports a failure.
     """
     w = ensure_symmetric(a)
-    d = w.shape[0]
-    v = np.eye(d)
-    fro = float(np.linalg.norm(w))
-    if fro == 0.0 or d == 1:
-        return EigenDecomp(values=np.diag(w).copy(), vectors=v)
-    thresh = _JACOBI_TOL * fro
-    off_mask = ~np.eye(d, dtype=bool)
-    for _ in range(_MAX_SWEEPS):
-        off = float(np.linalg.norm(w[off_mask]))
-        if off <= thresh:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = w[p, q]
-                if abs(apq) <= 1e-18 * fro:
-                    continue
-                theta = (w[q, q] - w[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # w <- G' w G and v <- v G with G the (p,q) rotation.
-                wp = w[:, p].copy()
-                wq = w[:, q].copy()
-                w[:, p] = c * wp - s * wq
-                w[:, q] = s * wp + c * wq
-                wp = w[p, :].copy()
-                wq = w[q, :].copy()
-                w[p, :] = c * wp - s * wq
-                w[q, :] = s * wp + c * wq
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise NoConvergence("Jacobi eigensolver did not converge in 100 sweeps")
-    values = np.diag(w).copy()
+    try:
+        values, vectors = np.linalg.eigh(w)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
     order = np.argsort(-values, kind="stable")
     return EigenDecomp(
-        values=values[order], vectors=_fix_signs(v[:, order])
+        values=values[order], vectors=_fix_signs(vectors[:, order])
     )
 
 

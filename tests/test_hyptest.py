@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from convstat import (
+    EigenDecomp,
     InputError,
     LatticeViolation,
     NeedTwoVariables,
     NotPaired,
+    NumericalError,
     PMV,
     RankOutOfRange,
     SampleSet,
@@ -29,6 +31,7 @@ from convstat import (
     psi,
     subind_test,
 )
+from convstat.hyptest import _psd_wald
 
 
 def ks_distance(sample, cdf):
@@ -361,6 +364,20 @@ class TestOracleStatistics:
         assert ed is not None
         assert ed.dof == 2
         assert ed.statistic >= 0.0
+
+
+class TestPsdWald:
+    """Roundoff-negative Wald forms clamp to 0; larger negatives raise."""
+
+    def test_roundoff_cancellation_clamps_to_zero(self):
+        # terms 1 and -(1 + 2 eps) cancel to -2 eps: roundoff of a zero form
+        dec = EigenDecomp(values=np.array([1.0, -1.0]), vectors=np.eye(2))
+        assert _psd_wald([1.0, np.nextafter(1.0, 2.0)], dec, 2) == 0.0
+
+    def test_negative_beyond_roundoff_raises(self):
+        dec = EigenDecomp(values=np.array([1.0, -0.5]), vectors=np.eye(2))
+        with pytest.raises(NumericalError):
+            _psd_wald([1.0, 1.0], dec, 2)
 
 
 class TestReportRoundTrip:

@@ -61,6 +61,16 @@ class TestEigh:
         with pytest.raises(NotSymmetric):
             eigh(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("func", [eigh, pinv])
+    def test_rejects_non_finite(self, func, bad):
+        # NaN fails every comparison, so it must be caught before the
+        # symmetry check and before LAPACK, which returns NaN silently
+        with pytest.raises(DomainError):
+            func(np.array([[1.0, bad], [bad, 1.0]]))
+        with pytest.raises(DomainError):
+            func(np.array([[bad, 0.0], [0.0, 1.0]]))
+
 
 class TestRankApprox:
     def test_truncates_smaller_eigenvalue(self):
