@@ -20,8 +20,10 @@ from .errors import (
     NeedTwoVariables,
     NotPaired,
 )
-from .pmv import EmpiricalPMV, PMV, _conv_matrix, empirical_pmv, multinomial_cov
-from .polyrank import _loo_or_identity
+from .pmv import (
+    EmpiricalPMV, PMV, _conv_matrix, _leave_one_out, _multinomial_cov,
+    _require_finite, empirical_pmv, multinomial_cov,
+)
 
 __all__ = [
     "weights_from_sizes",
@@ -55,20 +57,25 @@ def _as_pmvs(pmvs) -> list:
     return out
 
 
-def _weighted_cov(pmvs, weights) -> np.ndarray:
-    """Assembly valid for any count >= 1; a single PMV has identity T."""
-    pmvs = _as_pmvs(pmvs)
-    weights = np.ones(len(pmvs)) if weights is None else np.asarray(weights, float)
-    if weights.size != len(pmvs):
+def _weighted_cov(probs, weights=None) -> np.ndarray:
+    """``sum_i c_i T(x_(i)) S(x_i) T(x_(i))'`` for any count k >= 1.
+
+    ``probs`` holds one probability array per variable; leading axes
+    ``(..., r_i + 1)`` give a stack of matrices.  A single variable has
+    identity T; ``weights`` default to all ones.
+    """
+    probs = [np.asarray(p, dtype=float) for p in probs]
+    if weights is None:
+        weights = np.ones(len(probs))
+    weights = np.asarray(weights, dtype=float)
+    if weights.size != len(probs):
         raise EmptySizes(
-            f"{len(pmvs)} PMVs but {weights.size} weights supplied"
+            f"{len(probs)} PMVs but {weights.size} weights supplied"
         )
-    loo = _loo_or_identity(pmvs)
-    dim = sum(p.r for p in pmvs) + 1
-    out = np.zeros((dim, dim))
-    for c, p, other in zip(weights, pmvs, loo):
-        t = _conv_matrix(other.probs, p.r + 1)
-        out += c * (t @ multinomial_cov(p) @ t.T)
+    out = 0.0
+    for c, p, other in zip(weights, probs, _leave_one_out(probs)):
+        t = _conv_matrix(other, p.shape[-1])
+        out = out + c * (t @ _multinomial_cov(p) @ np.swapaxes(t, -1, -2))
     return out
 
 
@@ -87,7 +94,7 @@ def psi(pmvs, weights=None) -> np.ndarray:
     if len(pmvs) < 2:
         raise NeedTwoVariables(f"psi requires k >= 2 PMVs, got {len(pmvs)}")
     _check_not_degenerate(pmvs)
-    return _weighted_cov(pmvs, weights)
+    return _weighted_cov([p.probs for p in pmvs], weights)
 
 
 def xi(pmvs, weights=None) -> np.ndarray:
@@ -100,7 +107,7 @@ def xi(pmvs, weights=None) -> np.ndarray:
     if len(pmvs) < 1:
         raise NeedTwoVariables("xi requires at least one PMV")
     _check_not_degenerate(pmvs)
-    return _weighted_cov(pmvs, weights)
+    return _weighted_cov([p.probs for p in pmvs], weights)
 
 
 def _epmvs_from_samples(samples, support_lens=None) -> list:
@@ -110,6 +117,17 @@ def _epmvs_from_samples(samples, support_lens=None) -> list:
     return [empirical_pmv(s, r) for s, r in zip(samples, support_lens)]
 
 
+def _plug_in(samples, support_lens, k_min, name) -> np.ndarray:
+    samples = list(samples)
+    if len(samples) < k_min:
+        raise NeedTwoVariables(
+            f"{name} requires k >= {k_min} variables, got {len(samples)}"
+        )
+    epmvs = _epmvs_from_samples(samples, support_lens)
+    weights = weights_from_sizes([e.n for e in epmvs])
+    return _weighted_cov([e.pmv.probs for e in epmvs], weights)
+
+
 def psi_hat(samples, support_lens=None) -> np.ndarray:
     """Plug-in estimate of :func:`psi` from per-variable observations.
 
@@ -117,22 +135,12 @@ def psi_hat(samples, support_lens=None) -> np.ndarray:
     sample is constant the result is the zero matrix, which callers detect
     to switch to the Pearson fallback.
     """
-    samples = list(samples)
-    if len(samples) < 2:
-        raise NeedTwoVariables(f"psi_hat requires k >= 2 variables, got {len(samples)}")
-    epmvs = _epmvs_from_samples(samples, support_lens)
-    weights = weights_from_sizes([e.n for e in epmvs])
-    return _weighted_cov([e.pmv for e in epmvs], weights)
+    return _plug_in(samples, support_lens, 2, "psi_hat")
 
 
 def xi_hat(samples, support_lens=None) -> np.ndarray:
     """Plug-in estimate of :func:`xi` (h >= 1)."""
-    samples = list(samples)
-    if len(samples) < 1:
-        raise NeedTwoVariables("xi_hat requires at least one variable")
-    epmvs = _epmvs_from_samples(samples, support_lens)
-    weights = weights_from_sizes([e.n for e in epmvs])
-    return _weighted_cov([e.pmv for e in epmvs], weights)
+    return _plug_in(samples, support_lens, 1, "xi_hat")
 
 
 def _paired_matrix(paired) -> np.ndarray:
@@ -142,6 +150,7 @@ def _paired_matrix(paired) -> np.ndarray:
         raise NotPaired("paired data must be a rectangular m x k table") from None
     if arr.dtype == object or arr.ndim != 2:
         raise NotPaired("paired data must be a rectangular m x k table")
+    _require_finite(arr, "paired data")
     if arr.shape[0] < 2:
         raise NotPaired(f"paired data needs m >= 2 rows, got {arr.shape[0]}")
     return arr
@@ -158,5 +167,5 @@ def upsilon_hat(paired, support_lens=None) -> np.ndarray:
     epmvs = _epmvs_from_samples(columns, support_lens)
     s = sum(e.pmv.r for e in epmvs)
     z_hat = empirical_pmv(arr.sum(axis=1), s)
-    psi_m = _weighted_cov([e.pmv for e in epmvs], np.ones(len(epmvs)))
+    psi_m = _weighted_cov([e.pmv.probs for e in epmvs])
     return multinomial_cov(z_hat.pmv) - psi_m

@@ -30,8 +30,12 @@ from .errors import (
     SupportViolation,
     ZeroExpected,
 )
-from .pmv import PMV, convolve_all, empirical_pmv, multinomial_cov
-from .polyrank import GCD_TOL, RANK_TOL, _loo_or_identity, gcd_degree, gcd_many
+from .pmv import (
+    PMV, _require_finite, convolve_all, empirical_pmv, multinomial_cov,
+)
+from .polyrank import (
+    GCD_TOL, RANK_TOL, _loo_or_identity, covariance_rank, gcd_degree, gcd_many,
+)
 
 __all__ = [
     "SampleSet",
@@ -151,9 +155,11 @@ class TestReport:
 def _to_lattice_ints(values, zeta, what):
     scaled = np.asarray(values, dtype=float) / zeta
     rounded = np.rint(scaled)
-    bad = np.abs(scaled - rounded) > _LATTICE_TOL
-    if np.any(bad):
-        offender = np.asarray(values).ravel()[np.argmax(bad)]
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, off the lattice
+        on_lattice = np.abs(scaled - rounded) <= _LATTICE_TOL
+    if not np.all(on_lattice):
+        _require_finite(scaled, what)
+        offender = np.asarray(values).ravel()[np.argmin(on_lattice)]
         raise LatticeViolation(
             f"{what}: value {offender!r} is not a multiple of zeta={zeta}"
         )
@@ -196,6 +202,7 @@ def _coerce_samples(x, support_lens=None):
     for i, v in enumerate(arrays):
         if v.size == 0:
             raise EmptySample(f"variable {i} has no observations")
+        _require_finite(v, f"variable {i}")
     if support_lens is not None:
         lens = list(support_lens)
     else:
@@ -218,47 +225,50 @@ def paired_sums(variables):
     return sums, int(discarded)
 
 
-def _parse_policy(policy):
+def _parse_policy(policy, s):
+    """``(kind, fixed rank)`` of a rank policy at total support degree s.
+
+    ``fixed:N`` (or a plain int N) needs ``1 <= N <= max(1, s)`` on every
+    path; a fixed rank above the estimate's own rank is not an error.
+    """
     if isinstance(policy, int) and not isinstance(policy, bool):
-        if policy < 1:
-            raise RankOutOfRange(f"fixed rank must be >= 1, got {policy}")
-        return "fixed", int(policy)
+        policy = f"fixed:{policy}"
     text = str(policy).strip().lower()
     if text in ("analytic", "numeric"):
         return text, None
     if text in ("lower", "lower_bound"):
         return "lower", None
-    if text.startswith("fixed:"):
-        try:
-            r = int(text.split(":", 1)[1])
-        except ValueError:
-            raise InputError(f"bad fixed rank in policy {policy!r}") from None
-        if r < 1:
-            raise RankOutOfRange(f"fixed rank must be >= 1, got {r}")
-        return "fixed", r
-    raise InputError(
-        f"unknown rank policy {policy!r}; expected analytic, numeric, "
-        "lower, or fixed:N"
-    )
+    if not text.startswith("fixed:"):
+        raise InputError(
+            f"unknown rank policy {policy!r}; expected analytic, numeric, "
+            "lower, or fixed:N"
+        )
+    try:
+        r = int(text.split(":", 1)[1])
+    except ValueError:
+        raise InputError(f"bad fixed rank in policy {policy!r}") from None
+    if not 1 <= r <= max(1, s):
+        raise RankOutOfRange(f"fixed rank {r} outside 1..{max(1, s)}")
+    return "fixed", r
 
 
 def _wald_terms(vec, dec: symlin.EigenDecomp, r: int) -> np.ndarray:
-    """Per-eigenpair terms of ``v' ((A^r)^+) v``.
+    """Per-eigenpair terms of ``v' ((A^r)^+) v``, shape ``(..., min(r, d))``.
 
-    Among the r algebraically largest eigenvalues, those below the
-    machine-precision cutoff contribute nothing (they are zeroed without
-    touching the degrees of freedom, mirroring the fixed-rank protocol).
+    ``vec`` and ``dec`` may carry the same leading stack axes.  Among the
+    r algebraically largest eigenvalues, those below the machine-precision
+    cutoff (all of them for a zero matrix) give a zero term without
+    touching the degrees of freedom, mirroring the fixed-rank protocol.
     """
-    lam = dec.values[: min(int(r), dec.values.size)]
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    if scale <= 0.0:
-        return np.zeros(0)
+    lam = dec.values[..., :r]
+    scale = np.max(np.abs(lam), axis=-1, keepdims=True)
     keep = np.abs(lam) > symlin.PINV_TOL * scale
-    proj = dec.vectors[:, : lam.size][:, keep].T @ np.asarray(vec, dtype=float)
-    return proj * proj / lam[keep]
+    vec = np.asarray(vec, dtype=float)
+    proj = (vec[..., None, :] @ dec.vectors[..., :r])[..., 0, :]
+    return np.where(keep, proj * proj / np.where(keep, lam, 1.0), 0.0)
 
 
-def _psd_wald(vec, dec: symlin.EigenDecomp, r: int) -> float:
+def _psd_wald(vec, dec: symlin.EigenDecomp, r: int):
     """Wald form ``v' ((A^r)^+) v`` of a positive semi-definite ``A``.
 
     Only a roundoff-negative eigenvalue among the kept ones can make the
@@ -266,36 +276,39 @@ def _psd_wald(vec, dec: symlin.EigenDecomp, r: int) -> float:
     the summation's roundoff (d * eps of their absolute sum) the form is
     zero to working precision and 0.0 is returned; a larger negative
     means ``A`` is not PSD to working precision, an internal failure.
+    A stack of forms gives an array, and any failure in it raises.
     """
     terms = _wald_terms(vec, dec, r)
-    stat = float(terms.sum())
-    if stat >= 0.0:
-        return stat
-    bound = dec.values.size * _EPS * float(np.abs(terms).sum())
-    if stat >= -bound:
-        return 0.0
-    raise NumericalError(
-        f"Wald form of a PSD covariance is negative ({stat:.3g}) beyond "
-        f"its roundoff bound {bound:.3g}"
-    )
+    stat = terms.sum(axis=-1)
+    negative = stat < 0.0
+    if negative.any():
+        bound = dec.values.shape[-1] * _EPS * np.abs(terms).sum(axis=-1)
+        if np.any(stat < -bound):
+            raise NumericalError(
+                f"Wald form of a PSD covariance is negative "
+                f"({np.min(stat):.3g}) beyond its roundoff bound "
+                f"{np.max(bound):.3g}"
+            )
+        stat = np.where(negative, 0.0, stat)
+    return stat if stat.ndim else float(stat)
 
 
 def _strict_rank(dec: symlin.EigenDecomp) -> int:
-    scale = float(np.max(np.abs(dec.values))) if dec.values.size else 0.0
+    scale = float(np.max(np.abs(dec.values)))
     if scale <= 0.0:
         return 0
     return int(np.sum(np.abs(dec.values) > symlin.PINV_TOL * scale))
 
 
 def _numeric_rank(dec: symlin.EigenDecomp) -> int:
-    lam_max = float(dec.values[0]) if dec.values.size else 0.0
+    lam_max = float(dec.values[0])
     if lam_max <= 0.0:
         return 0
     return int(np.sum(dec.values > RANK_TOL * lam_max))
 
 
-def _analytic_dof(epmvs_sides, s, warnings, diagnostics):
-    """dof = s - deg gcd of the leave-one-out convolutions.
+def _gcd_fold(epmvs_sides, diagnostics):
+    """gcd of the leave-one-out convolutions, folded across the sides.
 
     ``epmvs_sides`` is one list of empirical PMVs per side; for the ED
     test the relevant gcd is the gcd of the per-side gcds.
@@ -308,6 +321,12 @@ def _analytic_dof(epmvs_sides, s, warnings, diagnostics):
     for other in side_gcds[1:]:
         g = gcd_degree(g.gcd_coeffs, other.gcd_coeffs, GCD_TOL)
     diagnostics["gcd_degree"] = g.degree
+    return g
+
+
+def _analytic_dof(epmvs_sides, s, warnings, diagnostics):
+    """dof = s - deg gcd of the leave-one-out convolutions."""
+    g = _gcd_fold(epmvs_sides, diagnostics)
     diagnostics["gcd_residual"] = g.residual
     dof = s - g.degree
     if dof < 1:
@@ -317,16 +336,8 @@ def _analytic_dof(epmvs_sides, s, warnings, diagnostics):
 
 
 def _lower_dof(epmvs_sides, s, warnings, diagnostics):
-    side_gcds = []
-    zeros = 0
-    for epmvs in epmvs_sides:
-        loo = _loo_or_identity([e.pmv for e in epmvs])
-        side_gcds.append(gcd_many([p.probs for p in loo], GCD_TOL))
-        zeros += sum(len(e.pmv.zero_indices) for e in epmvs)
-    g = side_gcds[0]
-    for other in side_gcds[1:]:
-        g = gcd_degree(g.gcd_coeffs, other.gcd_coeffs, GCD_TOL)
-    diagnostics["gcd_degree"] = g.degree
+    g = _gcd_fold(epmvs_sides, diagnostics)
+    zeros = sum(len(e.pmv.zero_indices) for side in epmvs_sides for e in side)
     diagnostics["zero_entry_count"] = zeros
     dof = s - g.degree - zeros
     if dof < 1:
@@ -346,10 +357,10 @@ def _resolve_dof(kind, fixed_r, epmvs_sides, s, dec, warnings, diagnostics):
     """
     if kind == "fixed":
         strict = _strict_rank(dec)
-        if fixed_r < 1 or fixed_r > strict:
-            raise RankOutOfRange(
-                f"fixed rank {fixed_r} outside 1..{strict} "
-                "(numeric rank of the covariance estimate)"
+        if fixed_r > strict:
+            warnings.append(
+                f"fixed rank {fixed_r} exceeds the covariance estimate's "
+                f"rank {strict}; the missing directions contribute 0"
             )
         return fixed_r, f"fixed({fixed_r})"
     if kind == "numeric":
@@ -364,6 +375,34 @@ def _resolve_dof(kind, fixed_r, epmvs_sides, s, dec, warnings, diagnostics):
         )
         return _lower_dof(epmvs_sides, s, warnings, diagnostics), "lower_bound"
     return _lower_dof(epmvs_sides, s, warnings, diagnostics), "lower_bound"
+
+
+def _pearson_gof_stat(counts, probs):
+    """Pearson sum of cell counts ``(..., c)`` against the PMV ``probs``.
+
+    Cells where ``probs`` is zero drop out of the sum; the expected counts
+    scale with each row's total count.
+    """
+    positive = probs > 0.0
+    expected = counts.sum(axis=-1, keepdims=True) * probs[positive]
+    observed = counts[..., positive]
+    return np.sum((observed - expected) ** 2 / expected, axis=-1)
+
+
+def _pearson_ed_stat(cx, cy):
+    """Two-sample Pearson sum and dof of cell counts ``(..., c)``.
+
+    Cells empty on both sides drop out; dof is the retained cell count
+    minus 1, at least 1.
+    """
+    pooled = cx + cy
+    keep = pooled > 0
+    m = cx.sum(axis=-1, keepdims=True)
+    n = cy.sum(axis=-1, keepdims=True)
+    num = (cx * n - cy * m).astype(float) ** 2
+    den = np.where(keep, m * n * pooled, 1)
+    stat = np.sum(np.where(keep, num / den, 0.0), axis=-1)
+    return stat, np.maximum(1, keep.sum(axis=-1) - 1)
 
 
 def pearson_gof(sums, z, on_zero_expected: str = "error") -> TestReport:
@@ -411,9 +450,7 @@ def pearson_gof(sums, z, on_zero_expected: str = "error") -> TestReport:
                 f"{skipped} observations fell in zero-probability cells and "
                 "were excluded from the statistic"
             )
-    expected = m * z.probs[positive]
-    observed = counts[positive]
-    statistic = float(np.sum((observed - expected) ** 2 / expected))
+    statistic = float(_pearson_gof_stat(counts, z.probs))
     return TestReport(
         statistic=statistic,
         dof=dof,
@@ -441,18 +478,14 @@ def pearson_ed(x_sums, y_sums) -> TestReport:
     top = int(max(xv.max(), yv.max()))
     cx = np.bincount(xv.astype(np.int64), minlength=top + 1)
     cy = np.bincount(yv.astype(np.int64), minlength=top + 1)
-    pooled = cx + cy
-    keep = pooled > 0
+    empty = int(np.sum(cx + cy == 0))
     warnings = []
-    if not np.all(keep):
+    if empty:
         warnings.append(
-            f"{int((~keep).sum())} empty pooled cells merged from the "
-            "support ends inward"
+            f"{empty} empty pooled cells merged from the support ends inward"
         )
-    m, n3 = xv.size, yv.size
-    num = (cx[keep] * n3 - cy[keep] * m).astype(float) ** 2
-    statistic = float(np.sum(num / (m * n3 * pooled[keep])))
-    dof = max(1, int(keep.sum()) - 1)
+    statistic, dof = _pearson_ed_stat(cx, cy)
+    statistic, dof = float(statistic), int(dof)
     return TestReport(
         statistic=statistic,
         dof=dof,
@@ -477,6 +510,51 @@ def _base_diagnostics(dec=None, m=None, warnings=None, **extra) -> dict:
     return d
 
 
+def _pearson_fallback(base, why, n_discarded, kind, fixed_r, warnings,
+                      **extra):
+    """Report for a zero covariance estimate: the Pearson value ``base``.
+
+    The dof stays at the fixed rank when one was requested.
+    """
+    warnings.append(
+        f"all empirical PMVs are point masses{why}; statistic fell back to "
+        "Pearson"
+    )
+    if n_discarded:
+        warnings.append(
+            f"Pearson pairing discarded {n_discarded} observations"
+        )
+    warnings.extend(base.diagnostics.get("warnings", []))
+    dof = fixed_r if kind == "fixed" else base.dof
+    return TestReport(
+        statistic=base.statistic,
+        dof=dof,
+        p_value=symlin.chi2_sf(base.statistic, dof),
+        rank_policy=f"fixed({fixed_r})" if kind == "fixed" else kind,
+        fallback_used=True,
+        diagnostics=_base_diagnostics(warnings=warnings, **extra),
+    )
+
+
+def _wald_report(vec, cov, kind, fixed_r, epmvs_sides, s, warnings, m,
+                 **extra):
+    """Report of the Wald form of ``vec`` in the PSD estimate ``cov``."""
+    dec = symlin.eigh(cov)
+    diagnostics = _base_diagnostics(dec=dec, m=m, warnings=warnings, **extra)
+    dof, label = _resolve_dof(
+        kind, fixed_r, epmvs_sides, s, dec, warnings, diagnostics
+    )
+    statistic = _psd_wald(vec, dec, dof)
+    return TestReport(
+        statistic=statistic,
+        dof=dof,
+        p_value=symlin.chi2_sf(statistic, dof),
+        rank_policy=label,
+        fallback_used=False,
+        diagnostics=diagnostics,
+    )
+
+
 def gof_test(x, z, rank_policy="analytic", support_lens=None) -> TestReport:
     """Goodness-of-fit test of ``sum_i X_i`` against the PMV ``z``.
 
@@ -487,12 +565,12 @@ def gof_test(x, z, rank_policy="analytic", support_lens=None) -> TestReport:
     falls back to the Pearson value (``fallback_used`` is set); the dof
     then stays at the fixed rank if one was requested.
     """
-    kind, fixed_r = _parse_policy(rank_policy)
     arrays, lens, offset, was_canonical = _coerce_samples(x, support_lens)
     if len(arrays) < 2:
         raise NeedTwoVariables(f"gof_test requires k >= 2 variables, got {len(arrays)}")
     epmvs = [empirical_pmv(v, r) for v, r in zip(arrays, lens)]
     s = sum(e.pmv.r for e in epmvs)
+    kind, fixed_r = _parse_policy(rank_policy, s)
     z = z if isinstance(z, PMV) else PMV(z)
     if z.support_len != s + 1:
         raise SupportMismatch(
@@ -507,67 +585,28 @@ def gof_test(x, z, rank_policy="analytic", support_lens=None) -> TestReport:
     sizes = [e.n for e in epmvs]
     m = min(sizes)
     weights = covest.weights_from_sizes(sizes)
-    psi_m = covest._weighted_cov([e.pmv for e in epmvs], weights)
+    psi_m = covest._weighted_cov([e.pmv.probs for e in epmvs], weights)
     warnings = []
 
     if not psi_m.any():
         sums, discarded = paired_sums(arrays)
-        base = pearson_gof(sums, z, on_zero_expected="drop")
-        warnings.append(
-            "all empirical PMVs are point masses (zero covariance "
-            "estimate); statistic fell back to Pearson"
-        )
-        if discarded:
-            warnings.append(
-                f"Pearson pairing discarded {discarded} observations"
-            )
-        warnings.extend(base.diagnostics.get("warnings", []))
-        dof = fixed_r if kind == "fixed" else base.dof
-        label = f"fixed({fixed_r})" if kind == "fixed" else kind
-        return TestReport(
-            statistic=base.statistic,
-            dof=dof,
-            p_value=symlin.chi2_sf(base.statistic, dof),
-            rank_policy=label,
-            fallback_used=True,
-            diagnostics=_base_diagnostics(
-                m=m, warnings=warnings, total_offset=offset,
-                discarded=discarded,
-            ),
+        return _pearson_fallback(
+            pearson_gof(sums, z, on_zero_expected="drop"),
+            " (zero covariance estimate)", discarded, kind, fixed_r,
+            warnings, m=m, total_offset=offset, discarded=discarded,
         )
 
     v_m = math.sqrt(m) * (conv - z.probs)
-    dec = symlin.eigh(psi_m)
-    diagnostics = _base_diagnostics(
-        dec=dec, m=m, warnings=warnings, total_offset=offset
-    )
-    dof, label = _resolve_dof(
-        kind, fixed_r, [epmvs], s, dec, warnings, diagnostics
-    )
-    statistic = _psd_wald(v_m, dec, dof)
-    return TestReport(
-        statistic=statistic,
-        dof=dof,
-        p_value=symlin.chi2_sf(statistic, dof),
-        rank_policy=label,
-        fallback_used=False,
-        diagnostics=diagnostics,
-    )
+    return _wald_report(v_m, psi_m, kind, fixed_r, [epmvs], s, warnings,
+                        m=m, total_offset=offset)
 
 
-def _pad(vec: np.ndarray, size: int) -> np.ndarray:
-    if vec.size == size:
-        return vec
-    out = np.zeros(size)
-    out[: vec.size] = vec
-    return out
-
-
-def _pad_matrix(mat: np.ndarray, size: int) -> np.ndarray:
-    if mat.shape[0] == size:
-        return mat
-    out = np.zeros((size, size))
-    out[: mat.shape[0], : mat.shape[1]] = mat
+def _pad(a: np.ndarray, size: int) -> np.ndarray:
+    """Zero-pad a vector or a square matrix to ``size`` along every axis."""
+    if a.shape[0] == size:
+        return a
+    out = np.zeros((size,) * a.ndim)
+    out[tuple(slice(0, n) for n in a.shape)] = a
     return out
 
 
@@ -586,7 +625,6 @@ def ed_test(
     padding the shorter side (flagged in diagnostics; the analytic rank
     policy then degrades to numeric).
     """
-    kind, fixed_r = _parse_policy(rank_policy)
     x_arrays, x_lens, x_offset, x_canon = _coerce_samples(x, x_support_lens)
     y_arrays, y_lens, y_offset, y_canon = _coerce_samples(y, y_support_lens)
     if len(x_arrays) + len(y_arrays) < 2:
@@ -596,6 +634,7 @@ def ed_test(
     s_x = sum(e.pmv.r for e in x_epmvs)
     s_y = sum(e.pmv.r for e in y_epmvs)
     s = max(s_x, s_y)
+    kind, fixed_r = _parse_policy(rank_policy, s)
     warnings = []
     notes = []
     if x_canon or y_canon:
@@ -635,65 +674,29 @@ def ed_test(
     w_x, w_y = weights[: len(x_epmvs)], weights[len(x_epmvs):]
     conv_x = _pad(convolve_all([e.pmv for e in x_epmvs]).probs, s + 1)
     conv_y = _pad(convolve_all([e.pmv for e in y_epmvs]).probs, s + 1)
-    psi_m = _pad_matrix(
-        covest._weighted_cov([e.pmv for e in x_epmvs], w_x), s + 1
-    )
-    xi_m = _pad_matrix(
-        covest._weighted_cov([e.pmv for e in y_epmvs], w_y), s + 1
-    )
-    total = psi_m + xi_m
+    psi_m = covest._weighted_cov([e.pmv.probs for e in x_epmvs], w_x)
+    xi_m = covest._weighted_cov([e.pmv.probs for e in y_epmvs], w_y)
+    total = _pad(psi_m, s + 1) + _pad(xi_m, s + 1)
 
     if not total.any():
         x_sums, x_disc = paired_sums(x_arrays)
         y_sums, y_disc = paired_sums(y_arrays)
-        base = pearson_ed(x_sums, y_sums)
-        warnings.append(
-            "all empirical PMVs are point masses on both sides; statistic "
-            "fell back to Pearson"
-        )
-        if x_disc or y_disc:
-            warnings.append(
-                f"Pearson pairing discarded {x_disc + y_disc} observations"
-            )
-        warnings.extend(base.diagnostics.get("warnings", []))
-        dof = fixed_r if kind == "fixed" else base.dof
-        label = f"fixed({fixed_r})" if kind == "fixed" else kind
-        return TestReport(
-            statistic=base.statistic,
-            dof=dof,
-            p_value=symlin.chi2_sf(base.statistic, dof),
-            rank_policy=label,
-            fallback_used=True,
-            diagnostics=_base_diagnostics(
-                m=m, warnings=warnings, notes=notes,
-                total_offset=x_offset, padded=padded,
-            ),
+        return _pearson_fallback(
+            pearson_ed(x_sums, y_sums), " on both sides", x_disc + y_disc,
+            kind, fixed_r, warnings, m=m, notes=notes,
+            total_offset=x_offset, padded=padded,
         )
 
     w_m = math.sqrt(m) * (conv_x - conv_y)
-    dec = symlin.eigh(total)
-    diagnostics = _base_diagnostics(
-        dec=dec, m=m, warnings=warnings, notes=notes,
-        total_offset=x_offset, padded=padded,
-    )
     if kind == "analytic" and padded:
         warnings.append(
             "analytic rank is unavailable for padded supports; using the "
             "numeric policy"
         )
         kind = "numeric"
-    dof, label = _resolve_dof(
-        kind, fixed_r, [x_epmvs, y_epmvs], s, dec, warnings, diagnostics
-    )
-    statistic = _psd_wald(w_m, dec, dof)
-    return TestReport(
-        statistic=statistic,
-        dof=dof,
-        p_value=symlin.chi2_sf(statistic, dof),
-        rank_policy=label,
-        fallback_used=False,
-        diagnostics=diagnostics,
-    )
+    return _wald_report(w_m, total, kind, fixed_r, [x_epmvs, y_epmvs], s,
+                        warnings, m=m, notes=notes, total_offset=x_offset,
+                        padded=padded)
 
 
 def subind_test(paired, rank_policy=None, support_lens=None) -> TestReport:
@@ -720,21 +723,19 @@ def subind_test(paired, rank_policy=None, support_lens=None) -> TestReport:
     z_hat = empirical_pmv(arr.sum(axis=1), s)
     conv = convolve_all([e.pmv for e in epmvs]).probs
     ups = multinomial_cov(z_hat.pmv) - covest._weighted_cov(
-        [e.pmv for e in epmvs], np.ones(len(epmvs))
+        [e.pmv.probs for e in epmvs]
     )
     warnings = []
     if rank_policy is None:
         dof = max(1, s)
         label = "full"
     else:
-        kind, fixed_r = _parse_policy(rank_policy)
+        kind, fixed_r = _parse_policy(rank_policy, s)
         if kind != "fixed":
             raise InputError(
                 "subind_test accepts only the default full-rank policy or "
                 "fixed:N"
             )
-        if fixed_r < 1 or fixed_r > max(1, s):
-            raise RankOutOfRange(f"fixed rank {fixed_r} outside 1..{max(1, s)}")
         dof = fixed_r
         label = f"fixed({fixed_r})"
 
@@ -788,8 +789,6 @@ def oracle_statistics(
     ``(gof_report, ed_report)`` pair; the second is None without a y side.
     Default dof is the analytic rank of the true covariance.
     """
-    from .polyrank import covariance_rank
-
     x_pmvs = [p if isinstance(p, PMV) else PMV(p) for p in x_pmvs]
     x_arrays, _, _, _ = _coerce_samples(x, [p.r for p in x_pmvs])
     x_epmvs = [empirical_pmv(v, p.r) for v, p in zip(x_arrays, x_pmvs)]

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    DomainError,
     EmptyProduct,
     EmptySample,
     InvalidPMV,
@@ -146,9 +147,52 @@ def empirical_pmv(samples, r: int) -> EmpiricalPMV:
     return EmpiricalPMV(pmv=PMV(counts / n), n=int(n))
 
 
+def _require_finite(values, what: str) -> None:
+    """Raise ``DomainError`` when a float array holds NaN or infinity."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
+        offender = values.ravel()[np.argmin(np.isfinite(values.ravel()))]
+        raise DomainError(f"{what}: non-finite value {offender}")
+
+
+def _convolve(a, b) -> np.ndarray:
+    """Full discrete convolution along the last axis; leading axes broadcast.
+
+    Two vectors go to ``np.convolve``; stacks loop over the shorter operand.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim == 1 and b.ndim == 1:
+        return np.convolve(a, b)
+    if a.shape[-1] < b.shape[-1]:
+        a, b = b, a
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    out = np.zeros(lead + (a.shape[-1] + b.shape[-1] - 1,))
+    for j in range(b.shape[-1]):
+        out[..., j : j + a.shape[-1]] += b[..., j : j + 1] * a
+    return out
+
+
+def _leave_one_out(probs) -> list:
+    """For each i, the convolution of all probability arrays but the i-th.
+
+    Prefix/suffix products keep the work linear in k; one array's
+    leave-one-out is the identity ``(1,)``.  Leading axes broadcast.
+    """
+    one = np.ones(1)
+    prefix = [one]
+    for p in probs[:-1]:
+        prefix.append(_convolve(prefix[-1], p))
+    suffix = [one]
+    for p in reversed(probs[1:]):
+        suffix.append(_convolve(p, suffix[-1]))
+    suffix.reverse()
+    return [_convolve(a, b) for a, b in zip(prefix, suffix)]
+
+
 def convolve(a: PMV, b: PMV) -> PMV:
     """Discrete convolution: the PMV of ``X + Y`` for independent X, Y."""
-    return PMV(np.convolve(a.probs, b.probs))
+    return PMV(_convolve(a.probs, b.probs))
 
 
 def convolve_all(pmvs) -> PMV:
@@ -160,12 +204,15 @@ def convolve_all(pmvs) -> PMV:
 
 
 def _conv_matrix(vec: np.ndarray, cols: int) -> np.ndarray:
-    """Banded matrix M with ``M @ w == convolve(vec, w)`` for len-cols w."""
+    """Banded matrix M with ``M @ w == convolve(vec, w)`` for len-cols w.
+
+    A stack of vectors ``(..., n)`` gives a stack of matrices.
+    """
     vec = np.asarray(vec, dtype=float)
-    rows = vec.size + cols - 1
-    m = np.zeros((rows, cols))
+    n = vec.shape[-1]
+    m = np.zeros(vec.shape[:-1] + (n + cols - 1, cols))
     for j in range(cols):
-        m[j : j + vec.size, j] = vec
+        m[..., j : j + n, j] = vec
     return m
 
 
@@ -180,7 +227,12 @@ def conv_matrix(v: PMV, cols: int) -> np.ndarray:
     return _conv_matrix(v.probs, cols)
 
 
+def _multinomial_cov(p) -> np.ndarray:
+    """``diag(p) - p p'`` for probability arrays of shape ``(..., n)``."""
+    col = p[..., :, None]
+    return col * np.eye(p.shape[-1]) - col * p[..., None, :]
+
+
 def multinomial_cov(v: PMV) -> np.ndarray:
     """Multinomial covariance ``diag(v) - v v'`` of a one-hot indicator."""
-    p = v.probs
-    return np.diag(p) - np.outer(p, p)
+    return _multinomial_cov(v.probs)

@@ -20,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import symlin
+from . import covest, symlin
 from .errors import DimensionMismatch, NeedTwoVariables, ZeroInput
-from .pmv import PMV, _conv_matrix, convolve_all, multinomial_cov
+from .pmv import PMV, _conv_matrix, _leave_one_out
 
 __all__ = [
     "GcdResult",
@@ -223,35 +223,15 @@ def leave_one_out(pmvs) -> list:
     so the total work is linear in k.
     """
     pmvs = list(pmvs)
-    k = len(pmvs)
-    if k < 2:
-        raise NeedTwoVariables(f"leave_one_out requires k >= 2, got {k}")
-    identity = PMV([1.0])
-    prefix = [identity]
-    for p in pmvs[:-1]:
-        prefix.append(convolve_all([prefix[-1], p]))
-    suffix = [identity]
-    for p in reversed(pmvs[1:]):
-        suffix.append(convolve_all([p, suffix[-1]]))
-    suffix.reverse()
-    return [convolve_all([prefix[i], suffix[i]]) for i in range(k)]
+    if len(pmvs) < 2:
+        raise NeedTwoVariables(
+            f"leave_one_out requires k >= 2, got {len(pmvs)}"
+        )
+    return _loo_or_identity(pmvs)
 
 
 def _loo_or_identity(pmvs):
-    if len(pmvs) == 1:
-        return [PMV([1.0])]
-    return leave_one_out(pmvs)
-
-
-def _unit_cov(pmvs) -> np.ndarray:
-    """Unweighted covariance assembly sum_i T(x_(i)) S(x_i) T(x_(i))'."""
-    loo = _loo_or_identity(pmvs)
-    s_plus_1 = sum(p.r for p in pmvs) + 1
-    out = np.zeros((s_plus_1, s_plus_1))
-    for p, other in zip(pmvs, loo):
-        t = _conv_matrix(other.probs, p.r + 1)
-        out += t @ multinomial_cov(p) @ t.T
-    return out
+    return [PMV(p) for p in _leave_one_out([p.probs for p in pmvs])]
 
 
 def covariance_rank(
@@ -275,7 +255,7 @@ def covariance_rank(
     gcd = gcd_many([p.probs for p in x_loo], tol)
     zero_sets = [p.zero_indices for p in x_pmvs]
     interior = all(p.interior for p in x_pmvs)
-    matrix = _unit_cov(x_pmvs)
+    matrix = covest._weighted_cov([p.probs for p in x_pmvs])
 
     if y_pmvs is not None:
         y_pmvs = list(y_pmvs)
@@ -291,7 +271,7 @@ def covariance_rank(
         gcd = gcd_degree(gcd.gcd_coeffs, gcd_y.gcd_coeffs, tol)
         zero_sets += [p.zero_indices for p in y_pmvs]
         interior = interior and all(p.interior for p in y_pmvs)
-        matrix = matrix + _unit_cov(y_pmvs)
+        matrix = matrix + covest._weighted_cov([p.probs for p in y_pmvs])
 
     analytic = s - gcd.degree if interior else None
     lower = max(0, s - gcd.degree - sum(len(z) for z in zero_sets))

@@ -12,6 +12,13 @@ use the true covariance pseudo-inverse, and ``P`` is Pearson's
 chi-squared; the ``_GF``/``_ED`` suffix selects goodness-of-fit against
 ``z(rho)`` or equality in distribution against the third sample.
 
+Every statistic comes from the library core (``covest``'s covariance
+assembly, ``hyptest``'s Wald form and Pearson sums): each replicate is
+reduced to its counts, and a block of replicates is evaluated as one
+stack, in chunks of constant size.  The simulation differs from
+``gof_test`` in one input check only: a hypothesis z with a zero cell
+(rho = 1) is used as is instead of raising ``ZeroExpected``.
+
 Replicates are driven by a counter-based (Philox) generator keyed by
 (seed, replicate, variable), so parallel and serial runs produce
 bit-identical results.
@@ -26,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import covest, symlin
+from . import covest, hyptest, symlin
 from .errors import InputError, ModelDegenerate
-from .pmv import PMV
+from .pmv import PMV, _convolve
 
 __all__ = [
     "ALL_STATISTICS",
@@ -166,163 +173,88 @@ def _chi2_critical(alpha: float, dof: int) -> float:
     return hi
 
 
+# Replicates evaluated per library call: the stacked arrays stay a few
+# hundred kilobytes whatever L is.
+_CHUNK = 1024
+
+
 class _Context:
     """Per-scenario precomputation shared by every replicate."""
 
     def __init__(self, scn: SimScenario):
         self.scn = scn
         self.m = min(scn.n1, scn.n2, scn.n3)
-        self.c1 = self.m / scn.n1
-        self.c2 = self.m / scn.n2
-        self.c3 = self.m / scn.n3
+        self.weights = covest.weights_from_sizes([scn.n1, scn.n2, scn.n3])
         self.sqrt_m = math.sqrt(self.m)
         self.z_hyp = z_rho(scn.p, scn.q, scn.rho).probs
-        self.crit = {1: _chi2_critical(scn.alpha, 1),
-                     2: _chi2_critical(scn.alpha, 2)}
-        self.need_ed = any(s.endswith("_ED") for s in scn.statistics)
-        self.need_z_gf = any(s in ("Z1_GF", "Z2_GF") for s in scn.statistics)
-        self.need_z_ed = any(s in ("Z1_ED", "Z2_ED") for s in scn.statistics)
-        x1_pmv = PMV([1.0 - scn.p, scn.p])
-        x2_pmv = PMV([1.0 - scn.q, scn.q])
-        if self.need_z_gf or self.need_z_ed:
-            psi_true = covest.psi([x1_pmv, x2_pmv], [self.c1, self.c2])
+        # Indexed by dof; Pearson ED's dof varies per replicate.
+        self.crit = np.array([math.inf, _chi2_critical(scn.alpha, 1),
+                              _chi2_critical(scn.alpha, 2)])
+        if any(sid.startswith("Z") for sid in scn.statistics):
+            # The oracle (Z) statistics use the true covariances; the
+            # pseudo-inverses are what the limiting-distribution checks
+            # read.
+            psi_true = covest.psi([PMV([1.0 - scn.p, scn.p]),
+                                   PMV([1.0 - scn.q, scn.q])],
+                                  self.weights[:2])
+            total_true = psi_true + covest.xi([PMV(self.z_hyp)],
+                                              self.weights[2:])
+            self.true_decs = {"GF": symlin.eigh(psi_true),
+                              "ED": symlin.eigh(total_true)}
             self.psi_pinv = symlin.pinv(psi_true)
-            if self.need_z_ed:
-                xi_true = covest.xi([z_rho(scn.p, scn.q, scn.rho)], [self.c3])
-                self.total_pinv = symlin.pinv(psi_true + xi_true)
-        # Pearson GF: zero-probability cells drop out of the sum (the
-        # middle cell at rho = 1) but the dof stays at the support size - 1.
-        self.p_gf_mask = self.z_hyp > 0.0
-        self.p_gf_dof = 2
-        self.p_gf_expected = self.m * self.z_hyp[self.p_gf_mask]
+            self.total_pinv = symlin.pinv(total_true)
 
 
-def _u_vec(v0: float, v1: float) -> np.ndarray:
-    # T(v) @ (1, -1) for a length-2 PMV v: the single direction of S(v).
-    return np.array([v0, v1 - v0, -v1])
+def _sample_counts(scn: SimScenario, m: int, start: int, stop: int):
+    """Each replicate reduced to counts: ones in x1 and x2, and the cell
+    counts of the paired sums ``x1[:m] + x2[:m]`` and of y."""
+    ones = np.empty((stop - start, 2), dtype=np.int64)
+    sum_counts = np.empty((stop - start, 3), dtype=np.int64)
+    y_counts = np.empty((stop - start, 3), dtype=np.int64)
+    for i, rep in enumerate(range(start, stop)):
+        x1, x2, y = sample_scenario(scn, rep)
+        ones[i] = np.count_nonzero(x1), np.count_nonzero(x2)
+        sum_counts[i] = np.bincount(x1[:m] + x2[:m], minlength=3)
+        y_counts[i] = np.bincount(y, minlength=3)
+    return ones, sum_counts, y_counts
 
 
-def _top2_quads(mat: np.ndarray, vec: np.ndarray):
-    """(rank-1 statistic, rank-2 statistic) of ``vec' (mat^r)^+ vec``."""
-    dec = symlin.eigh(mat)
-    scale1 = abs(dec.values[0])
-    q1 = 0.0
-    if scale1 > 0.0:
-        proj = float(dec.vectors[:, 0] @ vec)
-        q1 = proj * proj / dec.values[0]
-    q2 = q1
-    scale2 = max(abs(dec.values[0]), abs(dec.values[1]))
-    if scale2 > 0.0 and abs(dec.values[1]) > symlin.PINV_TOL * scale2:
-        proj = float(dec.vectors[:, 1] @ vec)
-        q2 = q1 + proj * proj / dec.values[1]
-    return q1, q2
-
-
-def _pearson_gf(ctx: _Context, sums: np.ndarray) -> float:
-    counts = np.bincount(sums, minlength=3)
-    observed = counts[ctx.p_gf_mask]
-    return float(np.sum((observed - ctx.p_gf_expected) ** 2 / ctx.p_gf_expected))
-
-
-def _pearson_ed(x_sums: np.ndarray, y: np.ndarray):
-    cx = np.bincount(x_sums, minlength=3)
-    cy = np.bincount(y, minlength=3)
-    pooled = cx + cy
-    keep = pooled > 0
-    m, n3 = x_sums.size, y.size
-    num = (cx[keep] * n3 - cy[keep] * m).astype(float) ** 2
-    stat = float(np.sum(num / (m * n3 * pooled[keep])))
-    return stat, max(1, int(keep.sum()) - 1)
-
-
-def _replicate_flags(ctx: _Context, replicate: int):
-    """Rejection and fallback indicators for one replicate."""
+def _block_statistics(ctx: _Context, start: int, stop: int) -> dict:
+    """``{statistic id: (values, dof, fallback mask)}`` for the replicates
+    ``start..stop-1``, computed on their stacked empirical PMVs."""
     scn = ctx.scn
-    m = ctx.m
-    x1, x2, y = sample_scenario(scn, replicate)
-    p_hat = float(np.count_nonzero(x1)) / scn.n1
-    q_hat = float(np.count_nonzero(x2)) / scn.n2
-    conv = np.array([
-        (1.0 - p_hat) * (1.0 - q_hat),
-        p_hat * (1.0 - q_hat) + q_hat * (1.0 - p_hat),
-        p_hat * q_hat,
-    ])
-    var1 = p_hat * (1.0 - p_hat)
-    var2 = q_hat * (1.0 - q_hat)
-    psi_m = (
-        ctx.c1 * var1 * np.outer(_u_vec(1.0 - q_hat, q_hat),
-                                 _u_vec(1.0 - q_hat, q_hat))
-        + ctx.c2 * var2 * np.outer(_u_vec(1.0 - p_hat, p_hat),
-                                   _u_vec(1.0 - p_hat, p_hat))
-    )
-    x_sums = x1[:m] + x2[:m]
-
-    stats = {}
-    fallbacks = {}
     wanted = set(scn.statistics)
-
-    p_gf = None
-    if wanted & {"P_GF", "C1_GF", "C2_GF"}:
-        p_gf = _pearson_gf(ctx, x_sums)
-        if "P_GF" in wanted:
-            stats["P_GF"] = (p_gf, ctx.p_gf_dof)
-    v_m = ctx.sqrt_m * (conv - ctx.z_hyp)
-    if wanted & {"C1_GF", "C2_GF"}:
-        if var1 == 0.0 and var2 == 0.0:
-            for sid, dof in (("C1_GF", 1), ("C2_GF", 2)):
-                if sid in wanted:
-                    stats[sid] = (p_gf, dof)
-                    fallbacks[sid] = 1
-        else:
-            q1, q2 = _top2_quads(psi_m, v_m)
-            if "C1_GF" in wanted:
-                stats["C1_GF"] = (q1, 1)
-            if "C2_GF" in wanted:
-                stats["C2_GF"] = (q2, 2)
-    if ctx.need_z_gf:
-        z_stat = float(v_m @ ctx.psi_pinv @ v_m)
-        if "Z1_GF" in wanted:
-            stats["Z1_GF"] = (z_stat, 1)
-        if "Z2_GF" in wanted:
-            stats["Z2_GF"] = (z_stat, 2)
-
-    if ctx.need_ed:
-        y_hat = np.bincount(y, minlength=3) / scn.n3
-        w_m = ctx.sqrt_m * (conv - y_hat)
-        p_ed = None
-        if wanted & {"P_ED", "C1_ED", "C2_ED"}:
-            p_ed, p_ed_dof = _pearson_ed(x_sums, y)
-            if "P_ED" in wanted:
-                stats["P_ED"] = (p_ed, p_ed_dof)
-        if wanted & {"C1_ED", "C2_ED"}:
-            xi_m = ctx.c3 * (np.diag(y_hat) - np.outer(y_hat, y_hat))
-            total = psi_m + xi_m
-            if not total.any():
-                for sid, dof in (("C1_ED", 1), ("C2_ED", 2)):
-                    if sid in wanted:
-                        stats[sid] = (p_ed, dof)
-                        fallbacks[sid] = 1
-            else:
-                q1, q2 = _top2_quads(total, w_m)
-                if "C1_ED" in wanted:
-                    stats["C1_ED"] = (q1, 1)
-                if "C2_ED" in wanted:
-                    stats["C2_ED"] = (q2, 2)
-        if ctx.need_z_ed:
-            z_stat = float(w_m @ ctx.total_pinv @ w_m)
-            if "Z1_ED" in wanted:
-                stats["Z1_ED"] = (z_stat, 1)
-            if "Z2_ED" in wanted:
-                stats["Z2_ED"] = (z_stat, 2)
-
-    rejects = np.zeros(len(scn.statistics), dtype=np.int64)
-    falls = np.zeros(len(scn.statistics), dtype=np.int64)
-    for i, sid in enumerate(scn.statistics):
-        value, dof = stats[sid]
-        if value > ctx.crit[dof]:
-            rejects[i] = 1
-        falls[i] = fallbacks.get(sid, 0)
-    return rejects, falls
+    ones, sum_counts, y_counts = _sample_counts(scn, ctx.m, start, stop)
+    x_probs = [np.stack([n - k, k], axis=-1) / n
+               for n, k in zip((scn.n1, scn.n2), ones.T)]
+    y_hat = y_counts / scn.n3
+    conv = _convolve(*x_probs)
+    none = np.zeros(stop - start, dtype=bool)
+    stats = {
+        "P_GF": (hyptest._pearson_gof_stat(sum_counts, ctx.z_hyp), 2, none),
+        "P_ED": (*hyptest._pearson_ed_stat(sum_counts, y_counts), none),
+    }
+    deviations = {"GF": ctx.sqrt_m * (conv - ctx.z_hyp),
+                  "ED": ctx.sqrt_m * (conv - y_hat)}
+    if wanted & {"C1_GF", "C2_GF", "C1_ED", "C2_ED"}:
+        psi = covest._weighted_cov(x_probs, ctx.weights[:2])
+    for fam, vec in deviations.items():
+        if wanted & {f"C1_{fam}", f"C2_{fam}"}:
+            # Fixed rank 1 and 2; Pearson where the estimate is zero.
+            cov = psi
+            if fam == "ED":
+                cov = psi + covest._weighted_cov([y_hat], ctx.weights[2:])
+            dec = symlin.eigh(cov)
+            fallback = ~cov.any(axis=(-2, -1))
+            for r in (1, 2):
+                value = np.where(fallback, stats[f"P_{fam}"][0],
+                                 hyptest._psd_wald(vec, dec, r))
+                stats[f"C{r}_{fam}"] = (value, r, fallback)
+        if wanted & {f"Z1_{fam}", f"Z2_{fam}"}:
+            z = hyptest._psd_wald(vec, ctx.true_decs[fam], 3)
+            stats[f"Z1_{fam}"] = (z, 1, none)
+            stats[f"Z2_{fam}"] = (z, 2, none)
+    return stats
 
 
 def _count_block(args):
@@ -330,10 +262,12 @@ def _count_block(args):
     ctx = _Context(scn)
     rejects = np.zeros(len(scn.statistics), dtype=np.int64)
     falls = np.zeros(len(scn.statistics), dtype=np.int64)
-    for rep in range(start, stop):
-        r, f = _replicate_flags(ctx, rep)
-        rejects += r
-        falls += f
+    for lo in range(start, stop, _CHUNK):
+        stats = _block_statistics(ctx, lo, min(lo + _CHUNK, stop))
+        for i, sid in enumerate(scn.statistics):
+            value, dof, fallback = stats[sid]
+            rejects[i] += np.count_nonzero(value > ctx.crit[dof])
+            falls[i] += np.count_nonzero(fallback)
     return rejects, falls
 
 

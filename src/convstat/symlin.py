@@ -44,9 +44,11 @@ _SYM_TOL = 1e-12
 class EigenDecomp:
     """Spectral decomposition ``A == vectors @ diag(values) @ vectors.T``.
 
-    ``values`` is sorted descending; ``vectors`` holds orthonormal columns
-    with the sign fixed so each column's first non-negligible component is
-    positive, giving reproducible output for tied eigenvalues.
+    For a stack the arrays carry the same leading axes and the identity
+    holds per matrix.  ``values`` is sorted descending; ``vectors`` holds
+    orthonormal columns with the sign fixed so each column's first
+    non-negligible component is positive, giving reproducible output for
+    tied eigenvalues.
     """
 
     values: np.ndarray
@@ -56,73 +58,88 @@ class EigenDecomp:
 def ensure_symmetric(a, name: str = "matrix") -> np.ndarray:
     """Validate finiteness and symmetry within 1e-12 * max|A|.
 
-    Returns (A + A') / 2.  NaN or infinite entries raise ``DomainError``.
+    Accepts one matrix or a stack of shape ``(..., d, d)``, each checked
+    against its own scale.  Returns (A + A') / 2.  NaN or infinite entries
+    raise ``DomainError``; an empty matrix or stack ``DimensionMismatch``.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NotSymmetric(f"{name} must be square, got shape {a.shape}")
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    if not math.isfinite(scale):
+    if a.size == 0:
+        raise DimensionMismatch(f"{name} is empty, got shape {a.shape}")
+    scale = np.abs(a).max(axis=(-2, -1))
+    if not np.isfinite(scale).all():  # max propagates NaN
         raise DomainError(f"{name} has non-finite entries")
-    if np.max(np.abs(a - a.T)) > _SYM_TOL * max(scale, 1.0):
+    at = np.swapaxes(a, -1, -2)
+    asym = np.abs(a - at).max(axis=(-2, -1))
+    if (asym > _SYM_TOL * np.maximum(scale, 1.0)).any():
         raise NotSymmetric(f"{name} is not symmetric within tolerance")
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + at)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     mag = np.abs(vectors)
-    big = mag > 1e-12 * np.maximum(mag.max(axis=0), 1e-300)
-    lead = vectors[np.argmax(big, axis=0), np.arange(vectors.shape[1])]
+    big = mag > 1e-12 * np.maximum(mag.max(axis=-2, keepdims=True), 1e-300)
+    first = big.argmax(axis=-2)[..., None, :]
+    lead = np.take_along_axis(vectors, first, axis=-2)
     return vectors * np.where(lead < 0.0, -1.0, 1.0)
 
 
 def eigh(a) -> EigenDecomp:
     """Eigendecomposition of a symmetric matrix by LAPACK (``syevd``).
 
-    Raises ``NoConvergence`` when LAPACK reports a failure.
+    A stack ``(..., d, d)`` gives ``values`` of shape ``(..., d)`` and
+    ``vectors`` of shape ``(..., d, d)``, each matrix ordered and
+    sign-fixed on its own.  Raises ``NoConvergence`` when LAPACK reports
+    a failure.
     """
     w = ensure_symmetric(a)
     try:
         values, vectors = np.linalg.eigh(w)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
-    order = np.argsort(-values, kind="stable")
+    order = np.argsort(-values, axis=-1, kind="stable")
+    vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
     return EigenDecomp(
-        values=values[order], vectors=_fix_signs(vectors[:, order])
+        values=np.take_along_axis(values, order, axis=-1),
+        vectors=_fix_signs(vectors),
     )
+
+
+def _from_spectrum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Symmetric ``V diag(values) V'``, per matrix of a stack."""
+    out = (vectors * values[..., None, :]) @ np.swapaxes(vectors, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def rank_r_approx(a, r: int) -> np.ndarray:
     """Best symmetric rank-r approximation (truncated eigendecomposition).
 
     Keeps the r algebraically largest eigenvalues and zeroes the rest; ties
-    are broken by the deterministic ordering of :func:`eigh`.
+    are broken by the deterministic ordering of :func:`eigh`.  A stack of
+    matrices gives a stack of approximations.
     """
     dec = eigh(a)
-    d = dec.values.size
+    d = dec.values.shape[-1]
     if not 0 < r <= d:
         raise RankOutOfRange(f"rank must be in 1..{d}, got {r}")
     kept = dec.values.copy()
-    kept[r:] = 0.0
-    out = (dec.vectors * kept) @ dec.vectors.T
-    return 0.5 * (out + out.T)
+    kept[..., r:] = 0.0
+    return _from_spectrum(dec.vectors, kept)
 
 
 def pinv(a, tol: float = PINV_TOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via the eigendecomposition.
 
     Eigenvalues with ``|lam| > tol * max|lam|`` are inverted, others
-    zeroed.  The zero matrix maps to the zero matrix.
+    zeroed.  The zero matrix maps to the zero matrix.  A stack of matrices
+    gives a stack of pseudo-inverses.
     """
     dec = eigh(a)
     absvals = np.abs(dec.values)
-    scale = absvals.max() if absvals.size else 0.0
-    inv = np.zeros_like(dec.values)
-    if scale > 0.0:
-        keep = absvals > tol * scale
-        inv[keep] = 1.0 / dec.values[keep]
-    out = (dec.vectors * inv) @ dec.vectors.T
-    return 0.5 * (out + out.T)
+    keep = absvals > tol * absvals.max(axis=-1, keepdims=True)
+    inv = np.where(keep, 1.0 / np.where(keep, dec.values, 1.0), 0.0)
+    return _from_spectrum(dec.vectors, inv)
 
 
 def quad_form(vec, a) -> float:

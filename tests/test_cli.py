@@ -57,6 +57,13 @@ class TestGofCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_is_input_error(self, tmp_path, capsys, bad):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"variable_id,value\nA1,0\nA1,{bad}\nA2,1\nA2,0\n")
+        assert main(["gof", str(data), "--z", "0.25,0.5,0.25"]) == 2
+        assert "non-finite value" in capsys.readouterr().err
+
     def test_dimension_mismatch_is_input_error(self, datafiles, capsys):
         code = main(["gof", datafiles["x"], "--z", "0.5,0.5"])
         assert code == 2

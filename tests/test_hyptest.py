@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from convstat import (
+    DomainError,
     EigenDecomp,
     InputError,
     LatticeViolation,
@@ -64,6 +65,13 @@ class TestCanonicalize:
     def test_off_lattice_rejected(self):
         with pytest.raises(LatticeViolation):
             canonicalize(SampleSet(variables=([0.5, 0.75],), zeta=0.5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError):
+            canonicalize(SampleSet(variables=([0, 1, bad], [0, 1, 2])))
+        with pytest.raises(DomainError):
+            canonicalize(SampleSet(variables=([0, 1],), offset=bad))
 
     def test_zero_coefficient_rejected(self):
         with pytest.raises(InputError):
@@ -190,6 +198,29 @@ class TestGofTest:
         with pytest.raises(NeedTwoVariables):
             gof_test([[0, 1]], PMV([0.5, 0.5]))
 
+    @pytest.mark.parametrize("lens", [None, [1, 1]])
+    def test_non_finite_observation_rejected(self, lens):
+        x = [np.array([0.0, 1.0, math.nan]), np.array([0.0, 1.0])]
+        with pytest.raises(DomainError):
+            gof_test(x, PMV([0.25, 0.5, 0.25]), support_lens=lens)
+
+    def test_fixed_rank_bounded_by_s_on_fallback(self):
+        with pytest.raises(RankOutOfRange):
+            gof_test([[0, 0], [1, 1]], PMV([0.25, 0.5, 0.25]),
+                     rank_policy="fixed:9", support_lens=[1, 1])
+
+    def test_fixed_rank_above_estimate_rank_zeroes_direction(self):
+        # x2 is constant, so the estimate has rank 1 < 2: the missing
+        # direction contributes 0 and the warning names the rank
+        x = [[0, 1, 0, 1], [1, 1, 1]]
+        z = PMV([0.2, 0.5, 0.3])
+        two = gof_test(x, z, rank_policy="fixed:2")
+        one = gof_test(x, z, rank_policy="fixed:1")
+        assert two.dof == 2 and not two.fallback_used
+        assert two.statistic == pytest.approx(one.statistic, rel=1e-12)
+        assert any("estimate's rank 1" in w
+                   for w in two.diagnostics["warnings"])
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         x1 = rng.integers(0, 2, 60)
@@ -256,6 +287,15 @@ class TestEdTest:
         report = ed_test(x, y, rank_policy="analytic")
         assert report.diagnostics["padded"]
         assert report.rank_policy == "numeric"
+
+    def test_fixed_rank_bounded_by_s_on_every_path(self):
+        with pytest.raises(RankOutOfRange):  # Pearson fallback
+            ed_test([[0, 0], [1, 1]], [[1, 1]], rank_policy="fixed:9",
+                    x_support_lens=[1, 1], y_support_lens=[2])
+        x = canonicalize(SampleSet(variables=([1, 2, 1], [0, 1])))
+        y = canonicalize(SampleSet(variables=([0, 1, 2],)))
+        with pytest.raises(RankOutOfRange):  # offset mismatch
+            ed_test(x, y, rank_policy="fixed:9")
 
     def test_fallback_to_pearson(self):
         report = ed_test([[0, 0], [1, 1]], [[1, 1, 1]],

@@ -1,6 +1,6 @@
 """Property tests over the public test entry points.
 
-Random small supports, sample sizes and all four rank policies: every
+Random small supports, sample sizes and every rank policy: every
 report has a finite statistic >= 0, a p-value in [0, 1] and
 1 <= dof <= s, and nothing but ``ConvStatError`` subclasses escapes.
 """
@@ -11,7 +11,14 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from convstat import ConvStatError, PMV, ed_test, gof_test, oracle_statistics
+from convstat import (
+    ConvStatError,
+    PMV,
+    ed_test,
+    gof_test,
+    oracle_statistics,
+    subind_test,
+)
 
 SETTINGS = settings(
     max_examples=150,
@@ -82,6 +89,28 @@ def test_ed_test_properties(data):
     except ConvStatError:
         return
     check_report(report, s)
+
+
+@SETTINGS
+@given(st.data())
+def test_subind_test_properties(data):
+    k = data.draw(st.integers(2, 3))
+    lens = [data.draw(st.integers(1, 3)) for _ in range(k)]
+    rows = data.draw(st.integers(2, 25))
+    table = np.array([
+        data.draw(st.lists(st.integers(0, r), min_size=rows, max_size=rows))
+        for r in lens
+    ]).T
+    s = sum(lens)
+    policy = data.draw(st.sampled_from(
+        [None, f"fixed:{data.draw(st.integers(1, s))}"]))
+    try:
+        report = subind_test(table, rank_policy=policy, support_lens=lens)
+    except ConvStatError:
+        return
+    check_report(report, s)
+    if policy is not None:
+        assert report.dof == int(policy.split(":")[1])
 
 
 @SETTINGS

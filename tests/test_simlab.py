@@ -11,13 +11,24 @@ from convstat import (
     ModelDegenerate,
     PMV,
     convolve,
+    ed_test,
+    gof_test,
+    pearson_ed,
+    pearson_gof,
     rejection_proportion,
     run_scenario,
     sample_scenario,
     sweep,
     z_rho,
 )
-from convstat.simlab import SimScenario, load_config, write_csv, write_json
+from convstat.simlab import (
+    SimScenario,
+    _block_statistics,
+    _Context,
+    load_config,
+    write_csv,
+    write_json,
+)
 
 
 def scenario(**overrides):
@@ -146,6 +157,61 @@ class TestDeterminism:
         serial = run_scenario(scn, workers=1)
         parallel = run_scenario(scn, workers=4)
         assert serial == parallel
+
+
+class TestLibraryAgreement:
+    def test_statistics_equal_public_calls(self):
+        # tiny samples near p = 0 and q = 1: many replicates have a constant
+        # variable (a rank-1 estimate under fixed:2) or fall back to Pearson
+        scn = scenario(p=0.05, q=0.95, rho=0.0, n1=5, n2=3, n3=8, L=400,
+                       seed=17)
+        stats = _block_statistics(_Context(scn), 0, scn.L)
+        z = z_rho(scn.p, scn.q, scn.rho)
+        seen = set()
+        for rep in range(scn.L):
+            x1, x2, y = sample_scenario(scn, rep)
+            sums = x1[:3] + x2[:3]
+            reports = {"P_GF": pearson_gof(sums, z), "P_ED": pearson_ed(sums, y)}
+            for r in (1, 2):
+                reports[f"C{r}_GF"] = gof_test(
+                    [x1, x2], z, rank_policy=f"fixed:{r}", support_lens=[1, 1])
+                reports[f"C{r}_ED"] = ed_test(
+                    [x1, x2], [y], rank_policy=f"fixed:{r}",
+                    x_support_lens=[1, 1], y_support_lens=[2])
+            for sid, report in reports.items():
+                value, dof, fallback = stats[sid]
+                assert value[rep] == pytest.approx(report.statistic,
+                                                   rel=1e-12, abs=1e-12)
+                assert fallback[rep] == report.fallback_used
+            assert stats["P_ED"][1][rep] == reports["P_ED"].dof
+            seen.add((reports["C2_GF"].fallback_used,
+                      len(reports["C2_GF"].diagnostics["warnings"]) > 0))
+        # fallback, rank-deficient and full-rank replicates all occurred
+        assert seen == {(True, True), (False, True), (False, False)}
+
+
+class TestRegressionCounts:
+    # Rejection and fallback counts of all ten statistics, recorded with
+    # the per-replicate implementation the stacked core replaced.
+    CASES = [
+        (dict(p=0.3, q=0.8, rho=0.2, n1=40, n2=30, n3=60, seed=12345),
+         {"P_GF": (231, 0), "C1_GF": (154, 0), "C2_GF": (729, 0),
+          "Z1_GF": (809, 0), "Z2_GF": (625, 0), "P_ED": (150, 0),
+          "C1_ED": (158, 0), "C2_ED": (296, 0), "Z1_ED": (460, 0),
+          "Z2_ED": (281, 0)}),
+        (dict(p=0.05, q=0.95, rho=1.0, n1=5, n2=3, n3=8, seed=7),
+         {"P_GF": (6, 0), "C1_GF": (142, 680), "C2_GF": (35, 680),
+          "Z1_GF": (1000, 0), "Z2_GF": (998, 0), "P_ED": (989, 0),
+          "C1_ED": (663, 296), "C2_ED": (783, 296), "Z1_ED": (1000, 0),
+          "Z2_ED": (999, 0)}),
+    ]
+
+    @pytest.mark.parametrize("params,counts", CASES)
+    def test_counts_pinned(self, params, counts):
+        result = run_scenario(SimScenario(L=1000, **params))
+        got = {sid: (e.rejections, e.fallback_count)
+               for sid, e in result.entries.items()}
+        assert got == counts
 
 
 class TestSweep:

@@ -71,6 +71,34 @@ class TestEigh:
         with pytest.raises(DomainError):
             func(np.array([[bad, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("func", [eigh, pinv])
+    def test_rejects_empty_matrix(self, func):
+        with pytest.raises(DimensionMismatch):
+            func(np.zeros((0, 0)))
+
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(9)
+        stack = rng.normal(size=(6, 4, 4))
+        stack = stack + np.swapaxes(stack, -1, -2)
+        stack[2] = 0.0
+        stack[3] = np.outer([1.0, -2.0, 0.0, 1.0], [1.0, -2.0, 0.0, 1.0])
+        dec = eigh(stack)
+        assert dec.values.shape == (6, 4) and dec.vectors.shape == (6, 4, 4)
+        inverses = pinv(stack)
+        truncated = rank_r_approx(stack, 2)
+        for i, a in enumerate(stack):
+            single = eigh(a)
+            assert np.array_equal(dec.values[i], single.values)
+            assert np.array_equal(dec.vectors[i], single.vectors)
+            assert np.allclose(inverses[i], pinv(a), rtol=1e-12, atol=1e-14)
+            assert np.allclose(truncated[i], rank_r_approx(a, 2),
+                               rtol=1e-12, atol=1e-14)
+
+    def test_stack_with_one_non_finite_matrix(self):
+        bad = np.array([[1.0, math.nan], [math.nan, 1.0]])
+        with pytest.raises(DomainError):
+            eigh(np.stack([np.eye(2), bad, np.eye(2)]))
+
 
 class TestRankApprox:
     def test_truncates_smaller_eigenvalue(self):
