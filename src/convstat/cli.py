@@ -32,7 +32,7 @@ from .hyptest import (
     gof_test,
     subind_test,
 )
-from .pmv import PMV, empirical_pmv
+from .pmv import PMV, _require_finite, empirical_pmv
 from .polyrank import covariance_rank
 
 __all__ = ["main"]
@@ -135,6 +135,7 @@ def read_paired_file(path: str):
     if not rows:
         raise _fail(f"{path}: no observations found")
     table = np.array(rows)
+    _require_finite(table, path)
     if np.any(np.abs(table - np.rint(table)) > 1e-9):
         raise _fail(f"{path}: paired observations must be integers")
     return np.rint(table).astype(np.int64), names

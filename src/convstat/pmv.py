@@ -124,13 +124,15 @@ class EmpiricalPMV:
 def empirical_pmv(samples, r: int) -> EmpiricalPMV:
     """Estimate a PMV on ``{0, ..., r}`` by relative frequencies.
 
-    Raises ``EmptySample`` for empty input and ``SupportViolation`` when
-    any observation is non-integral or outside ``{0, ..., r}``.
+    Raises ``EmptySample`` for empty input, ``DomainError`` for NaN or
+    infinity, and ``SupportViolation`` when any observation is non-integral
+    or outside ``{0, ..., r}``.
     """
     values = np.asarray(samples)
     if values.size == 0:
         raise EmptySample("no observations supplied")
     if not np.issubdtype(values.dtype, np.integer):
+        _require_finite(values, "observations")
         as_int = np.rint(values).astype(np.int64)
         if np.any(np.abs(values - as_int) > 0):
             raise SupportViolation("observations must be integers")

@@ -19,9 +19,12 @@ stack, in chunks of constant size.  The simulation differs from
 ``gof_test`` in one input check only: a hypothesis z with a zero cell
 (rho = 1) is used as is instead of raising ``ZeroExpected``.
 
-Replicates are driven by a counter-based (Philox) generator keyed by
-(seed, replicate, variable), so parallel and serial runs produce
-bit-identical results.
+Each variable of each replicate draws from its own counter-based (Philox)
+stream, keyed by (seed, replicate, variable), so parallel and serial runs
+produce bit-identical results.  One generator per block is re-keyed from
+stream to stream; the keys, and so the draws, are those of a fresh
+``Philox(key=(seed << 64) | (replicate << 2) | variable)``.  The key holds
+64 bits of seed, so a seed must lie in ``[0, 2**64)``.
 """
 
 import csv
@@ -90,8 +93,10 @@ class SimScenario:
         unknown = set(self.statistics) - set(ALL_STATISTICS)
         if unknown:
             raise InputError(f"unknown statistics: {sorted(unknown)}")
-        if int(self.seed) < 0:
-            raise InputError("seed must be a nonnegative integer")
+        if not 0 <= int(self.seed) < 2 ** 64:
+            raise InputError(
+                f"seed must be an integer in [0, 2**64), got {self.seed}"
+            )
         object.__setattr__(self, "statistics", tuple(self.statistics))
 
 
@@ -133,9 +138,30 @@ def z_rho(p: float, q: float, rho: float) -> PMV:
     return PMV([z0, z1, z2])
 
 
-def _rng(seed: int, replicate: int, variable: int) -> np.random.Generator:
-    key = (int(seed) << 64) | (int(replicate) << 2) | int(variable)
-    return np.random.Generator(np.random.Philox(key=key))
+class _KeyedStreams:
+    """Uniform draws of the Philox stream keyed by (seed, replicate, variable).
+
+    The 128-bit key is ``[(replicate << 2) | variable, seed]``.  Philox is
+    counter-based, so a stream depends only on its key and counter: one
+    generator is re-keyed for each stream, with a zero counter and an empty
+    buffer, and draws exactly what a fresh ``Philox(key=...)`` would.
+    """
+
+    def __init__(self, seed: int):
+        self._seed = int(seed)
+        self._bits = np.random.Philox(0)
+        self._gen = np.random.Generator(self._bits)
+
+    def uniform(self, replicate: int, variable: int, n: int) -> np.ndarray:
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0),
+                      "key": ((int(replicate) << 2) | int(variable),
+                              self._seed)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0,
+        }
+        return self._gen.random(n)
 
 
 @functools.lru_cache(maxsize=128)
@@ -147,10 +173,11 @@ def _z_cuts(p: float, q: float, rho: float):
 
 def sample_scenario(scn: SimScenario, replicate: int):
     """Draw one replicate's raw data, deterministic in (seed, replicate)."""
-    x1 = (_rng(scn.seed, replicate, 0).random(scn.n1) < scn.p).astype(np.int64)
-    x2 = (_rng(scn.seed, replicate, 1).random(scn.n2) < scn.q).astype(np.int64)
+    streams = _KeyedStreams(scn.seed)
+    x1 = (streams.uniform(replicate, 0, scn.n1) < scn.p).astype(np.int64)
+    x2 = (streams.uniform(replicate, 1, scn.n2) < scn.q).astype(np.int64)
     cut0, cut1 = _z_cuts(scn.p, scn.q, scn.rho)
-    u = _rng(scn.seed, replicate, 2).random(scn.n3)
+    u = streams.uniform(replicate, 2, scn.n3)
     y = (u >= cut0).astype(np.int64) + (u >= cut1).astype(np.int64)
     return x1, x2, y
 
@@ -207,16 +234,29 @@ class _Context:
 
 def _sample_counts(scn: SimScenario, m: int, start: int, stop: int):
     """Each replicate reduced to counts: ones in x1 and x2, and the cell
-    counts of the paired sums ``x1[:m] + x2[:m]`` and of y."""
-    ones = np.empty((stop - start, 2), dtype=np.int64)
-    sum_counts = np.empty((stop - start, 3), dtype=np.int64)
-    y_counts = np.empty((stop - start, 3), dtype=np.int64)
-    for i, rep in enumerate(range(start, stop)):
-        x1, x2, y = sample_scenario(scn, rep)
-        ones[i] = np.count_nonzero(x1), np.count_nonzero(x2)
-        sum_counts[i] = np.bincount(x1[:m] + x2[:m], minlength=3)
-        y_counts[i] = np.bincount(y, minlength=3)
-    return ones, sum_counts, y_counts
+    counts of the paired sums ``x1[:m] + x2[:m]`` and of y.
+
+    The counts come straight from the uniforms ``sample_scenario`` draws,
+    so they equal the counts of its output.
+    """
+    streams = _KeyedStreams(scn.seed)
+    cut0, cut1 = _z_cuts(scn.p, scn.q, scn.rho)
+    rows = []
+    for rep in range(start, stop):
+        b1 = streams.uniform(rep, 0, scn.n1) < scn.p
+        b2 = streams.uniform(rep, 1, scn.n2) < scn.q
+        u = streams.uniform(rep, 2, scn.n3)
+        h1, h2 = b1[:m], b2[:m]
+        rows.append((np.count_nonzero(b1), np.count_nonzero(b2),
+                     np.count_nonzero(h1), np.count_nonzero(h2),
+                     np.count_nonzero(h1 & h2),
+                     np.count_nonzero(u >= cut0), np.count_nonzero(u >= cut1)))
+    counts = np.array(rows, dtype=np.int64)
+    head1, head2, both, y_ge1, y_ge2 = counts[:, 2:].T
+    sum_counts = np.stack([m - head1 - head2 + both, head1 + head2 - 2 * both,
+                           both], axis=-1)
+    y_counts = np.stack([scn.n3 - y_ge1, y_ge1 - y_ge2, y_ge2], axis=-1)
+    return counts[:, :2], sum_counts, y_counts
 
 
 def _block_statistics(ctx: _Context, start: int, stop: int) -> dict:
@@ -414,12 +454,24 @@ def load_config(path):
     missing = [k for k in required if k not in raw]
     if missing:
         raise InputError(f"config {path}: missing keys {missing}")
+    counts = {}
+    for key in ("n1", "n2", "n3", "L", "seed"):
+        value = raw[key]
+        # JSON numbers arrive as int or float; a fraction is a typo, not
+        # something to truncate.
+        if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or (isinstance(value, float) and value.is_integer())
+        ):
+            raise InputError(
+                f"config {path}: {key} must be an integer, got {value!r}"
+            )
+        counts[key] = int(value)
     scn = SimScenario(
         p=float(raw["p"]), q=float(raw["q"]), rho=float(raw["rho"]),
-        n1=int(raw["n1"]), n2=int(raw["n2"]), n3=int(raw["n3"]),
-        L=int(raw["L"]), alpha=float(raw.get("alpha", 0.05)),
+        alpha=float(raw.get("alpha", 0.05)),
         statistics=tuple(raw.get("statistics", ALL_STATISTICS)),
-        seed=int(raw["seed"]),
+        **counts,
     )
     sweep_spec = raw.get("sweep")
     if sweep_spec is None:

@@ -1,6 +1,7 @@
 """End-to-end command-line runs against generated data files."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,15 @@ class TestSubindCommand:
         bad.write_text("X1,X2\n1,2\n3\n")
         assert main(["subind", str(bad)]) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_value_is_input_error(self, tmp_path, capsys, bad):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"X1,X2\n0,1\n{bad},0\n1,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["subind", str(data)]) == 2
+        assert f"non-finite value {bad}" in capsys.readouterr().err
+
     def test_fixed_rank_flag(self, datafiles, capsys):
         code = main(["subind", datafiles["paired"], "--rank", "fixed:1",
                      "--json"])
@@ -177,6 +187,19 @@ class TestSimulateCommand:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         header = (tmp_path / "a.csv").read_text().splitlines()[0]
         assert header == "sweep_value,statistic_id,proportion,stderr,fallback_count"
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 2 ** 64), ("seed", 3.7), ("L", 10.5), ("n1", 2.5)])
+    def test_unusable_integer_is_input_error(self, tmp_path, capsys, field,
+                                             value):
+        config = tmp_path / "cfg.json"
+        params = {"p": 0.3, "q": 0.8, "rho": 0.0, "n1": 5, "n2": 5, "n3": 5,
+                  "L": 10, "seed": 1}
+        params[field] = value
+        config.write_text(json.dumps(params))
+        assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_config_is_input_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -1,11 +1,13 @@
 """Probability mass vector construction, convolution, and covariance."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from convstat import (
+    DomainError,
     EmptyProduct,
     EmptySample,
     InvalidPMV,
@@ -99,6 +101,13 @@ class TestEmpiricalPMV:
             empirical_pmv([-1, 0], 2)
         with pytest.raises(SupportViolation):
             empirical_pmv([0.5, 1.0], 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_before_cast(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite value"):
+                empirical_pmv(np.array([0.0, 1.0, bad]), 1)
 
     def test_entries_multiples_of_one_over_n(self):
         rng = np.random.default_rng(0)

@@ -25,6 +25,8 @@ from convstat.simlab import (
     SimScenario,
     _block_statistics,
     _Context,
+    _KeyedStreams,
+    _sample_counts,
     load_config,
     write_csv,
     write_json,
@@ -107,6 +109,50 @@ class TestSampling:
         assert run_scenario(dataclasses.replace(scn, L=30)) is not None
 
 
+def fresh_stream(seed, rep, var, n):
+    """The reference: a new generator keyed for this stream alone."""
+    key = (seed << 64) | (rep << 2) | var
+    return np.random.Generator(np.random.Philox(key=key)).random(n)
+
+
+class TestKeyedStreams:
+    @pytest.mark.parametrize("seed", [0, 2 ** 63 + 11, 2 ** 64 - 1])
+    def test_matches_fresh_generator(self, seed):
+        streams = _KeyedStreams(seed)
+        for rep, var, n in [(0, 0, 10), (1, 2, 7), (2 ** 20 + 3, 1, 64),
+                            (0, 0, 10)]:
+            assert np.array_equal(streams.uniform(rep, var, n),
+                                  fresh_stream(seed, rep, var, n))
+
+    def test_interleaved_partial_buffers(self):
+        # Lengths that leave part of Philox's 4-word output buffer unread:
+        # a re-key must not hand the rest of it to the next stream.
+        seed = 2 ** 63 + 11
+        streams = _KeyedStreams(seed)
+        rng = np.random.default_rng(5)
+        lengths = [1, 2, 3, 5, 1000]
+        for i in range(60):
+            rep, var = int(rng.integers(0, 50)), int(rng.integers(0, 3))
+            n = lengths[i % len(lengths)]
+            assert np.array_equal(streams.uniform(rep, var, n),
+                                  fresh_stream(seed, rep, var, n))
+
+    @pytest.mark.parametrize("rho", [0.3, 1.0])
+    def test_counts_equal_counts_of_samples(self, rho):
+        # m < n1 and m < n3; at rho = 1 the two cut points coincide
+        scn = scenario(p=0.4, q=0.6, rho=rho, n1=7, n2=4, n3=9, L=50)
+        m = 4
+        ones, sum_counts, y_counts = _sample_counts(scn, m, 5, scn.L)
+        for i, rep in enumerate(range(5, scn.L)):
+            x1, x2, y = sample_scenario(scn, rep)
+            assert list(ones[i]) == [x1.sum(), x2.sum()]
+            assert np.array_equal(sum_counts[i],
+                                  np.bincount(x1[:m] + x2[:m], minlength=3))
+            assert np.array_equal(y_counts[i], np.bincount(y, minlength=3))
+        if rho == 1.0:
+            assert not y_counts[:, 1].any()
+
+
 class TestScenarioValidation:
     def test_size_convention(self):
         with pytest.raises(InputError):
@@ -119,6 +165,13 @@ class TestScenarioValidation:
     def test_alpha_range(self):
         with pytest.raises(InputError):
             scenario(alpha=1.0)
+
+    def test_seed_must_fit_key(self):
+        # the Philox key holds 64 bits of seed
+        assert scenario(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+        for seed in (-1, 2 ** 64, 2 ** 70):
+            with pytest.raises(InputError, match="seed"):
+                scenario(seed=seed)
 
 
 class TestRejectionProportion:
@@ -293,6 +346,21 @@ class TestArtifacts:
         )
         assert axis == "m"
         assert values == [10, 20]
+
+    @pytest.mark.parametrize("field", ["n1", "n2", "n3", "L", "seed"])
+    def test_config_rejects_fractional_integers(self, tmp_path, field):
+        import json
+
+        config = {"p": 0.3, "q": 0.8, "rho": 0.4, "n1": 5, "n2": 5,
+                  "n3": 5, "L": 10, "seed": 1}
+        path = tmp_path / "cfg.json"
+        for value in (5.5, True, "5"):
+            path.write_text(json.dumps({**config, field: value}))
+            with pytest.raises(InputError, match=field):
+                load_config(path)
+        # an integral JSON float such as 5.0 or 5e0 is the integer 5
+        path.write_text(json.dumps({**config, field: 5.0}))
+        assert getattr(load_config(path)[0], field) == 5
 
     def test_config_missing_key(self, tmp_path):
         path = tmp_path / "cfg.json"
