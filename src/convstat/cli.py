@@ -16,9 +16,9 @@ input errors, 3 on internal numerical failures.
 """
 
 import argparse
-import csv
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -42,62 +42,175 @@ def _fail(message: str) -> "InputError":
     return InputError(message)
 
 
-def read_data_file(path: str) -> SampleSet:
-    """Parse a long-format CSV data file into a SampleSet."""
+# A blank line, or one whose first non-blank character is "#".
+_LONG_SKIP = re.compile(r"^[^\S\n]*(?:#.*)?$", re.M)
+# A line of nothing but blanks and commas: a row of empty cells.
+_WIDE_SKIP = re.compile(r"^(?:[^\S\n]|,)*$", re.M)
+
+
+def _read_lines(path: str, skip):
+    """Read ``path`` once and split off the lines that ``skip`` matches.
+
+    Returns the other lines, their 1-based line numbers, and the
+    ``(lineno, stripped text)`` of the skipped lines that are not blank.
+    """
     if not os.path.exists(path):
         raise _fail(f"{path}: no such file")
-    columns = {}
-    order = []
+    with open(path) as fh:
+        text = fh.read()
+    lines = text.split("\n")
+    skipped, lineno, pos = [], 0, 0
+    for match in skip.finditer(text):
+        lineno += text.count("\n", pos, match.start())
+        pos = match.start()
+        skipped.append(lineno)
+    data, prev = [], 0
+    for i in skipped:
+        data += lines[prev:i]
+        prev = i + 1
+    data += lines[prev:]
+    numbers = np.delete(np.arange(1, len(lines) + 1), skipped)
+    notes = [(i + 1, lines[i].strip()) for i in skipped if lines[i].strip()]
+    return data, numbers, notes
+
+
+def _loadtxt(lines, dtype, ndmin=2, usecols=None):
+    """numpy's C parser on CSV lines; ``#`` is data, not a comment."""
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
+                      comments=None, ndmin=ndmin, usecols=usecols)
+
+
+_OPEN_QUOTE = "quoted field is not closed on its line"
+
+
+def _quote_runs_on(lines, i) -> bool:
+    """Whether line ``i`` leaves a quoted field open, so that numpy's
+    parser joins line ``i + 1`` to its row."""
+    return len(_loadtxt(lines[i:i + 2], object, ndmin=1, usecols=0)) == 1
+
+
+def _bad_line(lines, numbers, parse, describe):
+    """``(lineno, message)`` for the first line that makes ``parse`` fail.
+
+    ``parse`` raises ValueError on a prefix of ``lines`` exactly when the
+    prefix holds a bad line, so the shortest failing prefix ends at the
+    first one.  numpy's parser carries a quoted field that is still open
+    at the end of a line on into the next line; ``parse`` refuses the
+    joined row, and the line that left the quote open is reported.
+    """
+    good, bad = 0, len(lines)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            parse(lines[:mid])
+        except ValueError:
+            bad = mid
+        else:
+            good = mid
+    bad -= 1
+    if bad and _quote_runs_on(lines, bad - 1):
+        return int(numbers[bad - 1]), _OPEN_QUOTE
+    return int(numbers[bad]), describe(lines[bad])
+
+
+def _name_width(lines) -> int:
+    """The longest first field of ``lines``, a bound on the parsed names.
+
+    A first field ends at the first comma of its line, unless the line
+    opens with a quote; then it may hold commas and run to the line's end.
+    """
+    codes = np.frombuffer("\n".join(lines).encode("utf-32-le"), np.uint32)
+    ends = np.flatnonzero(codes == ord("\n"))
+    starts = np.concatenate(([0], ends + 1))
+    ends = np.append(ends, codes.size)
+    commas = np.append(np.flatnonzero(codes == ord(",")), codes.size)
+    stops = np.minimum(commas[np.searchsorted(commas, starts)], ends)
+    quoted = codes[starts] == ord('"')
+    stops[quoted] = ends[quoted]
+    return max(1, int((stops - starts).max()))
+
+
+def _long_rows(lines):
+    """Names and values of long-format rows, without the leading headers."""
+    start = 0
+    while start < len(lines):
+        # with the next line, to see that a quote does not join the two
+        head = _loadtxt(lines[start:start + 2], object)
+        if head.shape != (len(lines[start:start + 2]), 2):
+            raise ValueError("expected one name and one value per line")
+        if head[0, 0].strip() != "variable_id":
+            break
+        start += 1
+    lines = lines[start:]
+    if not lines:
+        return np.empty(0, dtype=str), np.empty(0)
+    # Names as fixed-width strings: no Python object per row.
+    rows = _loadtxt(lines, [("name", f"U{_name_width(lines)}"),
+                            ("value", float)], ndmin=1)
+    if len(rows) != len(lines):
+        raise ValueError("a quoted field runs over lines")
+    return rows["name"], rows["value"]
+
+
+def _describe_long(line):
+    fields = _loadtxt([line], object)[0]
+    if len(fields) != 2:
+        return f"expected 'variable_id,value', got {line.strip()!r}"
+    return f"value {fields[1].strip()!r} is not a number"
+
+
+def _group(names, values):
+    """Split ``values`` by stripped name, in order of first appearance."""
+    raw, first, inverse = np.unique(names, return_index=True,
+                                    return_inverse=True)
+    ids = {}
+    raw_ids = np.empty(len(raw), dtype=np.intp)
+    for j in np.argsort(first):
+        raw_ids[j] = ids.setdefault(str(raw[j]).strip(), len(ids))
+    codes = raw_ids[inverse]
+    ends = np.cumsum(np.bincount(codes, minlength=len(ids)))
+    grouped = values[np.argsort(codes, kind="stable")]
+    return list(ids), np.split(grouped, ends[:-1])
+
+
+def read_data_file(path: str) -> SampleSet:
+    """Parse a long-format CSV data file into a SampleSet."""
+    lines, numbers, notes = _read_lines(path, _LONG_SKIP)
+    errors = []  # (lineno, message); the first one in the file is raised
     coeffs = {}
     offset = 0.0
     zeta = 1.0
-    with open(path, newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                parts = text[1:].split()
-                try:
-                    if parts[0] == "coeff" and len(parts) == 3:
-                        coeffs[parts[1]] = int(parts[2])
-                    elif parts[0] == "offset" and len(parts) == 2:
-                        offset = float(parts[1])
-                    elif parts[0] == "lattice" and len(parts) == 2:
-                        zeta = float(parts[1])
-                    else:
-                        raise ValueError
-                except (ValueError, IndexError):
-                    raise _fail(
-                        f"{path}:{lineno}: bad metadata line {text!r}"
-                    ) from None
-                continue
-            row = next(csv.reader([line]))
-            if len(row) != 2:
-                raise _fail(
-                    f"{path}:{lineno}: expected 'variable_id,value', got "
-                    f"{text!r}"
-                )
-            name, raw_value = row[0].strip(), row[1].strip()
-            if not columns and name == "variable_id":
-                continue
-            try:
-                value = float(raw_value)
-            except ValueError:
-                raise _fail(
-                    f"{path}:{lineno}: value {raw_value!r} is not a number"
-                ) from None
-            if name not in columns:
-                columns[name] = []
-                order.append(name)
-            columns[name].append(value)
-    if not order:
+    for lineno, text in notes:
+        parts = text[1:].split()
+        try:
+            if parts[0] == "coeff" and len(parts) == 3:
+                coeffs[parts[1]] = int(parts[2])
+            elif parts[0] == "offset" and len(parts) == 2:
+                offset = float(parts[1])
+            elif parts[0] == "lattice" and len(parts) == 2:
+                zeta = float(parts[1])
+            else:
+                raise ValueError
+        except (ValueError, IndexError):
+            errors.append((lineno, f"bad metadata line {text!r}"))
+            break
+    names = []
+    if lines:
+        try:
+            names, values = _long_rows(lines)
+        except ValueError:
+            errors.append(_bad_line(lines, numbers, _long_rows, _describe_long))
+    if errors:
+        lineno, message = min(errors)
+        raise _fail(f"{path}:{lineno}: {message}")
+    if not len(names):
         raise _fail(f"{path}: no observations found")
+    order, variables = _group(names, values)
     unknown = set(coeffs) - set(order)
     if unknown:
         raise _fail(f"{path}: #coeff lines for unknown variables {sorted(unknown)}")
     return SampleSet(
-        variables=tuple(np.array(columns[n]) for n in order),
+        variables=tuple(variables),
         coeffs=tuple(coeffs.get(n, 1) for n in order),
         offset=offset,
         zeta=zeta,
@@ -107,34 +220,37 @@ def read_data_file(path: str) -> SampleSet:
 
 def read_paired_file(path: str):
     """Parse a wide CSV (one column per variable) into an m x k table."""
-    if not os.path.exists(path):
-        raise _fail(f"{path}: no such file")
-    rows = []
-    names = None
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if names is None:
-                try:
-                    rows.append([float(c) for c in row])
-                    names = [f"X{i + 1}" for i in range(len(row))]
-                except ValueError:
-                    names = [c.strip() for c in row]
-                continue
-            try:
-                values = [float(c) for c in row]
-            except ValueError:
-                raise _fail(f"{path}:{lineno}: non-numeric entry") from None
-            if len(values) != len(names):
-                raise _fail(
-                    f"{path}:{lineno}: expected {len(names)} columns, got "
-                    f"{len(values)}"
-                )
-            rows.append(values)
-    if not rows:
+    lines, numbers, _ = _read_lines(path, _WIDE_SKIP)
+    if lines:
+        try:
+            width = _loadtxt(lines[:1], float).shape[1]
+            names = [f"X{i + 1}" for i in range(width)]
+        except ValueError:
+            if len(lines) > 1 and _quote_runs_on(lines, 0):
+                raise _fail(f"{path}:{numbers[0]}: {_OPEN_QUOTE}") from None
+            names = [c.strip() for c in _loadtxt(lines[:1], object)[0]]
+            lines, numbers = lines[1:], numbers[1:]
+    if not lines:
         raise _fail(f"{path}: no observations found")
-    table = np.array(rows)
+
+    def rows(lines):
+        table = _loadtxt(lines, float)
+        if table.shape != (len(lines), len(names)):
+            raise ValueError(f"expected {len(names)} columns per line")
+        return table
+
+    def describe(line):
+        try:
+            width = _loadtxt([line], float).shape[1]
+        except ValueError:
+            return "non-numeric entry"
+        return f"expected {len(names)} columns, got {width}"
+
+    try:
+        table = rows(lines)
+    except ValueError:
+        lineno, message = _bad_line(lines, numbers, rows, describe)
+        raise _fail(f"{path}:{lineno}: {message}") from None
     _require_finite(table, path)
     if np.any(np.abs(table - np.rint(table)) > 1e-9):
         raise _fail(f"{path}: paired observations must be integers")

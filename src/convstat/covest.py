@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DegenerateVariable,
+    DimensionMismatch,
     EmptySizes,
     NeedTwoVariables,
     NotPaired,
@@ -156,16 +157,42 @@ def _paired_matrix(paired) -> np.ndarray:
     return arr
 
 
+def _column_pmv(column, r=None) -> EmpiricalPMV:
+    """Empirical PMV of one table column, from one contiguous copy."""
+    column = np.ascontiguousarray(column)
+    return empirical_pmv(column, int(column.max()) if r is None else r)
+
+
+def _paired_estimates(arr, support_lens=None):
+    """Column PMVs, row-sum PMV and ``upsilon_hat`` of an m x k table.
+
+    Each column is copied into contiguous memory once, for its support
+    length and its counts, and the copy is dropped before the next one.
+    The row sums add the columns: numpy reduces slowly over a short inner
+    axis, and the sums are exact for the integral values that pass
+    ``empirical_pmv``.
+    """
+    m, k = arr.shape
+    if support_lens is None:
+        support_lens = [None] * k
+    elif len(support_lens) != k:
+        raise DimensionMismatch(
+            f"{len(support_lens)} support lengths for {k} columns"
+        )
+    epmvs = [_column_pmv(arr[:, j], r) for j, r in enumerate(support_lens)]
+    # the dtype arr.sum(axis=1) would have: small integers widen
+    row_sums = np.zeros(m, dtype=arr[:0].sum(axis=1).dtype)
+    for j in range(k):
+        row_sums += arr[:, j]
+    z_hat = empirical_pmv(row_sums, sum(e.pmv.r for e in epmvs))
+    psi_m = _weighted_cov([e.pmv.probs for e in epmvs])
+    return epmvs, z_hat, multinomial_cov(z_hat.pmv) - psi_m
+
+
 def upsilon_hat(paired, support_lens=None) -> np.ndarray:
     """Sub-independence covariance estimate ``S(z_hat) - psi_hat``.
 
     ``paired`` is an m x k table of joint observations; ``z_hat`` is the
     empirical PMV of the row sums on the combined support.
     """
-    arr = _paired_matrix(paired)
-    columns = [arr[:, j] for j in range(arr.shape[1])]
-    epmvs = _epmvs_from_samples(columns, support_lens)
-    s = sum(e.pmv.r for e in epmvs)
-    z_hat = empirical_pmv(arr.sum(axis=1), s)
-    psi_m = _weighted_cov([e.pmv.probs for e in epmvs])
-    return multinomial_cov(z_hat.pmv) - psi_m
+    return _paired_estimates(_paired_matrix(paired), support_lens)[2]

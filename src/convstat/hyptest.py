@@ -31,7 +31,7 @@ from .errors import (
     ZeroExpected,
 )
 from .pmv import (
-    PMV, _require_finite, convolve_all, empirical_pmv, multinomial_cov,
+    PMV, _require_finite, convolve_all, empirical_pmv,
 )
 from .polyrank import (
     GCD_TOL, RANK_TOL, _loo_or_identity, covariance_rank, gcd_degree, gcd_many,
@@ -159,7 +159,7 @@ def _to_lattice_ints(values, zeta, what):
         on_lattice = np.abs(scaled - rounded) <= _LATTICE_TOL
     if not np.all(on_lattice):
         _require_finite(scaled, what)
-        offender = np.asarray(values).ravel()[np.argmin(on_lattice)]
+        offender = np.asarray(values).ravel()[np.argmin(on_lattice)].item()
         raise LatticeViolation(
             f"{what}: value {offender!r} is not a multiple of zeta={zeta}"
         )
@@ -714,17 +714,10 @@ def subind_test(paired, rank_policy=None, support_lens=None) -> TestReport:
         raise NeedTwoVariables(
             f"subind_test requires k >= 2 columns, got {arr.shape[1]}"
         )
-    columns = [arr[:, j] for j in range(arr.shape[1])]
-    if support_lens is None:
-        support_lens = [int(np.max(c)) for c in columns]
-    epmvs = [empirical_pmv(c, r) for c, r in zip(columns, support_lens)]
+    epmvs, z_hat, ups = covest._paired_estimates(arr, support_lens)
     s = sum(e.pmv.r for e in epmvs)
     m = arr.shape[0]
-    z_hat = empirical_pmv(arr.sum(axis=1), s)
     conv = convolve_all([e.pmv for e in epmvs]).probs
-    ups = multinomial_cov(z_hat.pmv) - covest._weighted_cov(
-        [e.pmv.probs for e in epmvs]
-    )
     warnings = []
     if rank_policy is None:
         dof = max(1, s)

@@ -32,6 +32,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,14 +359,32 @@ def rejection_proportion(scn: SimScenario, statistic_id: str,
 _AXES = ("rho", "m", "p")
 
 
+def _integer(what: str, value) -> int:
+    # JSON numbers arrive as int or float; a fraction is a typo, not
+    # something to truncate.
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
+    ):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(what: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _with_axis_value(scn: SimScenario, axis: str, value) -> SimScenario:
+    what = f"sweep value on axis {axis}"
     if axis == "rho":
-        return dataclasses.replace(scn, rho=float(value))
+        return dataclasses.replace(scn, rho=_real(what, value))
     if axis == "m":
-        n = int(value)
+        n = _integer(what, value)
         return dataclasses.replace(scn, n1=n, n2=n, n3=n)
     if axis == "p":
-        return dataclasses.replace(scn, p=float(value))
+        return dataclasses.replace(scn, p=_real(what, value))
     raise InputError(f"unknown sweep axis {axis!r}; expected one of {_AXES}")
 
 
@@ -379,9 +398,10 @@ def sweep(scn: SimScenario, axis: str, values, workers: int = 1):
     values = list(values)
     if not values:
         raise InputError("sweep grid must be nonempty")
+    points = [_with_axis_value(scn, axis, v) for v in values]
     return [
-        (v, run_scenario(_with_axis_value(scn, axis, v), workers=workers))
-        for v in values
+        (v, run_scenario(point, workers=workers))
+        for v, point in zip(values, points)
     ]
 
 
@@ -450,38 +470,44 @@ def load_config(path):
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"config {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise InputError(f"config {path}: expected a JSON object")
     required = ["p", "q", "rho", "n1", "n2", "n3", "L", "seed"]
     missing = [k for k in required if k not in raw]
     if missing:
         raise InputError(f"config {path}: missing keys {missing}")
-    counts = {}
-    for key in ("n1", "n2", "n3", "L", "seed"):
-        value = raw[key]
-        # JSON numbers arrive as int or float; a fraction is a typo, not
-        # something to truncate.
-        if isinstance(value, bool) or not (
-            isinstance(value, int)
-            or (isinstance(value, float) and value.is_integer())
-        ):
-            raise InputError(
-                f"config {path}: {key} must be an integer, got {value!r}"
-            )
-        counts[key] = int(value)
+    counts = {key: _integer(f"config {path}: {key}", raw[key])
+              for key in ("n1", "n2", "n3", "L", "seed")}
+    reals = {key: _real(f"config {path}: {key}", raw[key])
+             for key in ("p", "q", "rho")}
+    statistics = raw.get("statistics", list(ALL_STATISTICS))
+    if not (isinstance(statistics, list)
+            and all(isinstance(sid, str) for sid in statistics)):
+        raise InputError(
+            f"config {path}: statistics must be a list of names, got "
+            f"{statistics!r}"
+        )
     scn = SimScenario(
-        p=float(raw["p"]), q=float(raw["q"]), rho=float(raw["rho"]),
-        alpha=float(raw.get("alpha", 0.05)),
-        statistics=tuple(raw.get("statistics", ALL_STATISTICS)),
+        alpha=_real(f"config {path}: alpha", raw.get("alpha", 0.05)),
+        statistics=tuple(statistics),
+        **reals,
         **counts,
     )
     sweep_spec = raw.get("sweep")
     if sweep_spec is None:
         return scn, "rho", [scn.rho]
-    if "axis" not in sweep_spec or "values" not in sweep_spec:
+    if not (isinstance(sweep_spec, dict)
+            and "axis" in sweep_spec and "values" in sweep_spec):
         raise InputError(f"config {path}: sweep needs 'axis' and 'values'")
     axis = str(sweep_spec["axis"])
     if axis not in _AXES:
         raise InputError(f"config {path}: sweep axis must be one of {_AXES}")
-    values = list(sweep_spec["values"])
-    if not values:
-        raise InputError(f"config {path}: sweep values must be nonempty")
+    values = sweep_spec["values"]
+    if not isinstance(values, list) or not values:
+        raise InputError(
+            f"config {path}: sweep values must be a nonempty list, got "
+            f"{values!r}"
+        )
+    for value in values:  # every grid point is checked before any run
+        _with_axis_value(scn, axis, value)
     return scn, axis, values

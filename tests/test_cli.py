@@ -77,6 +77,14 @@ class TestGofCommand:
         assert code == 2
         assert ":3:" in err
 
+    def test_off_lattice_value_is_reported_plainly(self, tmp_path, capsys):
+        data = tmp_path / "half.csv"
+        data.write_text("variable_id,value\nA1,0\nA1,0.5\nA2,1\n")
+        assert main(["gof", str(data), "--z", "0.25,0.5,0.25"]) == 2
+        err = capsys.readouterr().err
+        assert "value 0.5 is not a multiple of zeta=1.0" in err
+        assert "np." not in err
+
     def test_missing_file(self, capsys):
         assert main(["gof", "/nonexistent.csv", "--z", "0.5,0.5"]) == 2
 
@@ -199,6 +207,27 @@ class TestSimulateCommand:
         config.write_text(json.dumps(params))
         assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("p", None), ("q", "0.8"), ("rho", False), ("alpha", None)])
+    def test_non_number_is_input_error(self, tmp_path, capsys, field, value):
+        config = tmp_path / "cfg.json"
+        params = {"p": 0.3, "q": 0.8, "rho": 0.0, "n1": 5, "n2": 5, "n3": 5,
+                  "L": 10, "seed": 1}
+        params[field] = value
+        config.write_text(json.dumps(params))
+        assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert f"{field} must be a number" in capsys.readouterr().err
+
+    def test_fractional_sweep_value_is_input_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "p": 0.3, "q": 0.8, "rho": 0.0, "n1": 5, "n2": 5, "n3": 5,
+            "L": 10, "seed": 1, "sweep": {"axis": "m", "values": [3, 2.5]},
+        }))
+        assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert "must be an integer, got 2.5" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_bad_config_is_input_error(self, tmp_path, capsys):

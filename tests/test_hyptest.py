@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from convstat import (
+    DimensionMismatch,
     DomainError,
     EigenDecomp,
     InputError,
@@ -374,6 +375,26 @@ class TestSubindTest:
     def test_ragged_rejected(self):
         with pytest.raises(NotPaired):
             subind_test([[1, 2], [1]])
+
+    def test_row_sums_widen_small_integer_types(self):
+        # 3 x 100 overflows int8 and uint8; the row sums must not wrap
+        table = np.random.default_rng(9).integers(0, 101, size=(300, 3))
+        want = subind_test(table).to_dict()
+        for dtype in (np.int8, np.uint8, np.int32, np.float64):
+            assert subind_test(table.astype(dtype)).to_dict() == want
+
+    def test_column_major_table_is_left_alone(self):
+        table = np.random.default_rng(10).integers(0, 3, size=(200, 3))
+        fortran = np.asfortranarray(table)
+        assert subind_test(fortran).to_dict() == subind_test(table).to_dict()
+        assert np.array_equal(fortran, table)
+
+    def test_support_lens_must_cover_every_column(self):
+        table = np.array([[0, 1], [1, 0], [1, 1]])
+        with pytest.raises(DimensionMismatch):
+            subind_test(table, support_lens=[1])
+        with pytest.raises(DimensionMismatch):
+            subind_test(table, support_lens=[1, 1, 1])
 
 
 class TestOracleStatistics:

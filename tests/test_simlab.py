@@ -362,6 +362,74 @@ class TestArtifacts:
         path.write_text(json.dumps({**config, field: 5.0}))
         assert getattr(load_config(path)[0], field) == 5
 
+    @pytest.mark.parametrize("field", ["p", "q", "rho", "alpha"])
+    def test_config_rejects_non_numbers(self, tmp_path, field):
+        import json
+
+        config = {"p": 0.3, "q": 0.8, "rho": 0.4, "n1": 5, "n2": 5,
+                  "n3": 5, "L": 10, "seed": 1}
+        path = tmp_path / "cfg.json"
+        for value in (None, "0.5", True, [0.5]):
+            path.write_text(json.dumps({**config, field: value}))
+            with pytest.raises(InputError, match=f"{field} must be a number"):
+                load_config(path)
+        # an integer is a number: rho = 1 is the fully correlated model
+        path.write_text(json.dumps({**config, "rho": 1}))
+        assert load_config(path)[0].rho == 1.0
+
+    @pytest.mark.parametrize("axis, values", [
+        ("m", [5, 2.5]), ("m", [0]), ("m", [True]), ("m", ["4"]),
+        ("rho", [0.5, None]), ("rho", ["0.5"]), ("rho", [1.5]),
+        ("p", [False]), ("p", [0.2, "x"]),
+    ])
+    def test_config_rejects_bad_sweep_values(self, tmp_path, axis, values):
+        import json
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "p": 0.3, "q": 0.8, "rho": 0.4, "n1": 5, "n2": 5, "n3": 5,
+            "L": 10, "seed": 1, "sweep": {"axis": axis, "values": values},
+        }))
+        with pytest.raises(InputError):
+            load_config(path)
+
+    @pytest.mark.parametrize("change", [
+        {"statistics": None}, {"statistics": "P_GF"}, {"statistics": [["P_GF"]]},
+        {"sweep": 5}, {"sweep": {"axis": "m", "values": 5}},
+        {"sweep": {"axis": "m", "values": []}},
+    ])
+    def test_config_rejects_malformed_lists(self, tmp_path, change):
+        import json
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "p": 0.3, "q": 0.8, "rho": 0.4, "n1": 5, "n2": 5, "n3": 5,
+            "L": 10, "seed": 1, **change,
+        }))
+        with pytest.raises(InputError):
+            load_config(path)
+
+    @pytest.mark.parametrize("text", ["5", "null", '"p"'])
+    def test_config_must_be_an_object(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(InputError):
+            load_config(path)
+
+    def test_sweep_checks_every_point_before_running(self):
+        scn = SimScenario(p=0.3, q=0.8, rho=0.0, n1=5, n2=5, n3=5, L=10,
+                          statistics=("P_GF",))
+        with pytest.raises(InputError, match="axis m must be an integer"):
+            sweep(scn, "m", [4, 2.5])
+        rows = sweep(scn, "m", [3, 4.0])
+        assert [v for v, _ in rows] == [3, 4.0]
+        # numpy scalars are numbers too
+        assert len(sweep(scn, "m", np.arange(3, 5))) == 2
+        assert len(sweep(scn, "rho", np.linspace(0.0, 1.0, 2))) == 2
+        assert rows[1][1].entries["P_GF"] == run_scenario(
+            SimScenario(p=0.3, q=0.8, rho=0.0, n1=4, n2=4, n3=4, L=10,
+                        statistics=("P_GF",))).entries["P_GF"]
+
     def test_config_missing_key(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"p": 0.3}')
