@@ -258,17 +258,19 @@ def read_paired_file(path: str):
 
 
 def _parse_pmv(text: str) -> PMV:
+    """A PMV from a literal or a file of numbers split by commas or blanks,
+    read by the same parser as the data files."""
     if os.path.exists(text):
         with open(text) as fh:
             raw = fh.read().replace(",", " ").split()
     else:
         raw = text.replace(",", " ").split()
+    if not raw:
+        raise _fail(f"empty PMV literal {text!r}")
     try:
-        values = [float(v) for v in raw]
+        values = _loadtxt([",".join(raw)], float, ndmin=1)
     except ValueError:
         raise _fail(f"cannot parse PMV from {text!r}") from None
-    if not values:
-        raise _fail(f"empty PMV literal {text!r}")
     return PMV(values)
 
 

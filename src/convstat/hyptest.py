@@ -31,11 +31,10 @@ from .errors import (
     ZeroExpected,
 )
 from .pmv import (
-    PMV, _require_finite, convolve_all, empirical_pmv,
+    PMV, _integer, _integer_values, _require_finite, convolve_all,
+    empirical_pmv,
 )
-from .polyrank import (
-    GCD_TOL, RANK_TOL, _loo_or_identity, covariance_rank, gcd_degree, gcd_many,
-)
+from .polyrank import _numeric_rank, _sides_gcd, covariance_rank
 
 __all__ = [
     "SampleSet",
@@ -60,8 +59,9 @@ class SampleSet:
     """Raw observations with the affine-model coefficients.
 
     ``variables`` holds one 1-D array of lattice values per variable,
-    ``coeffs`` the integer multipliers ``a_i`` (default all 1), ``offset``
-    the constant ``a_0`` (a lattice point), and ``zeta`` the lattice unit.
+    ``coeffs`` the integer multipliers ``a_i`` (default all 1; fractions
+    are refused, not truncated), ``offset`` the constant ``a_0`` (a
+    lattice point), and ``zeta`` the lattice unit (finite and nonzero).
     """
 
     variables: tuple
@@ -80,15 +80,19 @@ class SampleSet:
         coeffs = self.coeffs
         if coeffs is None:
             coeffs = tuple(1 for _ in arrays)
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(
+            _integer(f"coefficient a_{i + 1}", c) for i, c in enumerate(coeffs)
+        )
         if len(coeffs) != len(arrays):
             raise InputError(
                 f"{len(arrays)} variables but {len(coeffs)} coefficients"
             )
         if any(c == 0 for c in coeffs):
             raise InputError("coefficients a_i must be nonzero integers")
-        if self.zeta == 0:
-            raise InputError("lattice unit zeta must be nonzero")
+        if self.zeta == 0 or not math.isfinite(self.zeta):
+            raise InputError(
+                f"lattice unit zeta must be finite and nonzero, got {self.zeta}"
+            )
         names = self.names
         if names is None:
             names = tuple(f"X{i + 1}" for i in range(len(arrays)))
@@ -300,49 +304,25 @@ def _strict_rank(dec: symlin.EigenDecomp) -> int:
     return int(np.sum(np.abs(dec.values) > symlin.PINV_TOL * scale))
 
 
-def _numeric_rank(dec: symlin.EigenDecomp) -> int:
-    lam_max = float(dec.values[0])
-    if lam_max <= 0.0:
-        return 0
-    return int(np.sum(dec.values > RANK_TOL * lam_max))
+def _gcd_dof(kind, epmvs_sides, s, warnings, diagnostics):
+    """dof = s - deg gcd - zeros of the leave-one-out convolutions.
 
-
-def _gcd_fold(epmvs_sides, diagnostics):
-    """gcd of the leave-one-out convolutions, folded across the sides.
-
-    ``epmvs_sides`` is one list of empirical PMVs per side; for the ED
-    test the relevant gcd is the gcd of the per-side gcds.
+    ``zeros`` is the empirical PMVs' zero-entry count under the ``lower``
+    policy and 0 under ``analytic``; a result below 1 is clamped to 1.
     """
-    side_gcds = []
-    for epmvs in epmvs_sides:
-        loo = _loo_or_identity([e.pmv for e in epmvs])
-        side_gcds.append(gcd_many([p.probs for p in loo], GCD_TOL))
-    g = side_gcds[0]
-    for other in side_gcds[1:]:
-        g = gcd_degree(g.gcd_coeffs, other.gcd_coeffs, GCD_TOL)
+    g = _sides_gcd([[e.pmv.probs for e in side] for side in epmvs_sides])
     diagnostics["gcd_degree"] = g.degree
-    return g
-
-
-def _analytic_dof(epmvs_sides, s, warnings, diagnostics):
-    """dof = s - deg gcd of the leave-one-out convolutions."""
-    g = _gcd_fold(epmvs_sides, diagnostics)
-    diagnostics["gcd_residual"] = g.residual
-    dof = s - g.degree
-    if dof < 1:
-        warnings.append("analytic rank fell below 1; clamped to 1")
-        dof = 1
-    return dof
-
-
-def _lower_dof(epmvs_sides, s, warnings, diagnostics):
-    g = _gcd_fold(epmvs_sides, diagnostics)
-    zeros = sum(len(e.pmv.zero_indices) for side in epmvs_sides for e in side)
-    diagnostics["zero_entry_count"] = zeros
+    if kind == "analytic":
+        diagnostics["gcd_residual"] = g.residual
+        zeros = 0
+    else:
+        zeros = sum(len(e.pmv.zero_indices) for side in epmvs_sides for e in side)
+        diagnostics["zero_entry_count"] = zeros
     dof = s - g.degree - zeros
     if dof < 1:
         warnings.append(
-            f"rank lower bound {dof} is below 1; clamped to 1 "
+            "analytic rank fell below 1; clamped to 1" if kind == "analytic"
+            else f"rank lower bound {dof} is below 1; clamped to 1 "
             "(test is conservative)"
         )
         dof = 1
@@ -364,17 +344,15 @@ def _resolve_dof(kind, fixed_r, epmvs_sides, s, dec, warnings, diagnostics):
             )
         return fixed_r, f"fixed({fixed_r})"
     if kind == "numeric":
-        return max(1, _numeric_rank(dec)), "numeric"
+        return max(1, _numeric_rank(dec.values)), "numeric"
     if kind == "analytic":
-        interior = all(e.pmv.interior for side in epmvs_sides for e in side)
-        if interior:
-            return _analytic_dof(epmvs_sides, s, warnings, diagnostics), "analytic"
+        if all(e.pmv.interior for side in epmvs_sides for e in side):
+            return _gcd_dof(kind, epmvs_sides, s, warnings, diagnostics), kind
         warnings.append(
             "empirical PMVs have zero cells; analytic rank unavailable, "
             "using the lower-bound policy"
         )
-        return _lower_dof(epmvs_sides, s, warnings, diagnostics), "lower_bound"
-    return _lower_dof(epmvs_sides, s, warnings, diagnostics), "lower_bound"
+    return _gcd_dof("lower", epmvs_sides, s, warnings, diagnostics), "lower_bound"
 
 
 def _pearson_gof_stat(counts, probs):
@@ -417,6 +395,7 @@ def pearson_gof(sums, z, on_zero_expected: str = "error") -> TestReport:
     values = np.asarray(sums)
     if values.size == 0:
         raise EmptySample("pearson_gof needs at least one observation")
+    values = _integer_values(values, "summed observations")
     if values.min() < 0:
         raise SupportViolation("summed observations must be nonnegative")
     z = z if isinstance(z, PMV) else PMV(z)
@@ -473,6 +452,8 @@ def pearson_ed(x_sums, y_sums) -> TestReport:
     yv = np.asarray(y_sums)
     if xv.size == 0 or yv.size == 0:
         raise EmptySample("pearson_ed needs observations on both sides")
+    xv = _integer_values(xv, "summed observations")
+    yv = _integer_values(yv, "summed observations")
     if xv.min() < 0 or yv.min() < 0:
         raise SupportViolation("summed observations must be nonnegative")
     top = int(max(xv.max(), yv.max()))
@@ -798,54 +779,40 @@ def oracle_statistics(
 
     m = min(sizes)
     weights = covest.weights_from_sizes(sizes)
-    w_x = weights[: len(x_epmvs)]
-    psi_true = covest.psi(x_pmvs, w_x)
 
+    def report(vec, cov, dof, *pmv_sides):
+        """Oracle report; dof defaults to the analytic, else numeric, rank."""
+        if dof is None:
+            rank = covariance_rank(*pmv_sides)
+            dof = (rank.numeric_rank if rank.analytic_rank is None
+                   else rank.analytic_rank)
+        stat = _psd_wald(vec, symlin.eigh(cov), cov.shape[0])
+        return TestReport(
+            statistic=stat,
+            dof=int(dof),
+            p_value=symlin.chi2_sf(stat, int(dof)),
+            rank_policy="oracle",
+            fallback_used=False,
+            diagnostics={"warnings": [], "m": int(m)},
+        )
+
+    psi_true = covest.psi(x_pmvs, weights[: len(x_epmvs)])
     z = convolve_all(x_pmvs) if z is None else (z if isinstance(z, PMV) else PMV(z))
     conv_x = convolve_all([e.pmv for e in x_epmvs]).probs
     if z.support_len != conv_x.size:
         raise SupportMismatch(
             f"z has {z.support_len} cells, expected {conv_x.size}"
         )
-    v_m = math.sqrt(m) * (conv_x - z.probs)
-    if dof_gf is None:
-        report = covariance_rank(x_pmvs)
-        dof_gf = report.analytic_rank
-        if dof_gf is None:
-            dof_gf = report.numeric_rank
-    gf_stat = _psd_wald(v_m, symlin.eigh(psi_true), psi_true.shape[0])
-    gf = TestReport(
-        statistic=gf_stat,
-        dof=int(dof_gf),
-        p_value=symlin.chi2_sf(gf_stat, int(dof_gf)),
-        rank_policy="oracle",
-        fallback_used=False,
-        diagnostics={"warnings": [], "m": int(m)},
-    )
+    gf = report(math.sqrt(m) * (conv_x - z.probs), psi_true, dof_gf, x_pmvs)
     if y_epmvs is None:
         return gf, None
 
-    w_y = weights[len(x_epmvs):]
-    xi_true = covest.xi(y_pmvs, w_y)
+    xi_true = covest.xi(y_pmvs, weights[len(x_epmvs):])
     if xi_true.shape != psi_true.shape:
         raise SupportMismatch(
             "x and y sides have different total support degrees"
         )
     conv_y = convolve_all([e.pmv for e in y_epmvs]).probs
-    w_m = math.sqrt(m) * (conv_x - conv_y)
-    if dof_ed is None:
-        report = covariance_rank(x_pmvs, y_pmvs)
-        dof_ed = report.analytic_rank
-        if dof_ed is None:
-            dof_ed = report.numeric_rank
-    total_true = psi_true + xi_true
-    ed_stat = _psd_wald(w_m, symlin.eigh(total_true), total_true.shape[0])
-    ed = TestReport(
-        statistic=ed_stat,
-        dof=int(dof_ed),
-        p_value=symlin.chi2_sf(ed_stat, int(dof_ed)),
-        rank_policy="oracle",
-        fallback_used=False,
-        diagnostics={"warnings": [], "m": int(m)},
-    )
+    ed = report(math.sqrt(m) * (conv_x - conv_y), psi_true + xi_true, dof_ed,
+                x_pmvs, y_pmvs)
     return gf, ed

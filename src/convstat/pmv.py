@@ -6,6 +6,7 @@ discrete convolution (the distribution of a sum of independent variables),
 the banded convolution matrix, and the multinomial covariance matrix.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 
@@ -16,6 +17,7 @@ from .errors import (
     DomainError,
     EmptyProduct,
     EmptySample,
+    InputError,
     InvalidPMV,
     SupportViolation,
 )
@@ -131,12 +133,7 @@ def empirical_pmv(samples, r: int) -> EmpiricalPMV:
     values = np.asarray(samples)
     if values.size == 0:
         raise EmptySample("no observations supplied")
-    if not np.issubdtype(values.dtype, np.integer):
-        _require_finite(values, "observations")
-        as_int = np.rint(values).astype(np.int64)
-        if np.any(np.abs(values - as_int) > 0):
-            raise SupportViolation("observations must be integers")
-        values = as_int
+    values = _integer_values(values, "observations")
     if int(r) < 0:
         raise SupportViolation("support degree r must be nonnegative")
     if values.min() < 0 or values.max() > int(r):
@@ -155,6 +152,29 @@ def _require_finite(values, what: str) -> None:
     if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
         offender = values.ravel()[np.argmin(np.isfinite(values.ravel()))]
         raise DomainError(f"{what}: non-finite value {offender}")
+
+
+def _integer_values(values: np.ndarray, what: str) -> np.ndarray:
+    """An integer array of ``values``: NaN or infinity raise ``DomainError``
+    and fractions ``SupportViolation``."""
+    if np.issubdtype(values.dtype, np.integer):
+        return values
+    _require_finite(values, what)
+    as_int = np.rint(values).astype(np.int64)
+    if np.any(np.abs(values - as_int) > 0):
+        raise SupportViolation(f"{what} must be integers")
+    return as_int
+
+
+def _integer(what: str, value) -> int:
+    """A scalar that must be integral: a fraction is a typo, not something
+    to truncate, so it raises ``InputError`` (as do NaN and infinity)."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
+    ):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _convolve(a, b) -> np.ndarray:

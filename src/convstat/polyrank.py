@@ -13,6 +13,12 @@ singular-value thresholding, and coefficient recovery is best effort:
 a Euclidean remainder sequence steered by the known degree, polished by
 alternating least squares against both inputs.  The rank formulas consume
 only the degree.
+
+This module is the one owner of every rank decision: the gcd fold over
+the leave-one-out PGFs (``_sides_gcd``), the numeric eigenvalue count
+(``_numeric_rank``), the rank formulas and their tolerances ``GCD_TOL``
+and ``RANK_TOL``.  The tests' rank policies and the oracle statistics in
+:mod:`convstat.hyptest` decide through these, not through copies.
 """
 
 from dataclasses import dataclass
@@ -70,7 +76,7 @@ class RankReport:
     ``analytic_rank`` is ``s - deg gcd`` and is only present when every
     input PMV is interior; otherwise ``lower_bound`` (the same value minus
     the zero-entry counts, floored at 0) is the best available statement.
-    ``numeric_rank`` counts eigenvalues above ``rank_tol * lambda_max``.
+    ``numeric_rank`` counts eigenvalues above ``RANK_TOL * lambda_max``.
     """
 
     s: int
@@ -227,19 +233,36 @@ def leave_one_out(pmvs) -> list:
         raise NeedTwoVariables(
             f"leave_one_out requires k >= 2, got {len(pmvs)}"
         )
-    return _loo_or_identity(pmvs)
-
-
-def _loo_or_identity(pmvs):
     return [PMV(p) for p in _leave_one_out([p.probs for p in pmvs])]
 
 
-def covariance_rank(
-    x_pmvs,
-    y_pmvs=None,
-    tol: float = GCD_TOL,
-    rank_tol: float = RANK_TOL,
-) -> RankReport:
+def _sides_gcd(sides) -> GcdResult:
+    """gcd of the leave-one-out PGFs, folded across the sides.
+
+    ``sides`` holds one list of probability vectors per side.  Each side's
+    gcd folds over its leave-one-out PGFs (one vector's leave-one-out is
+    the identity ``(1,)``); for the two-sample covariance the gcd is the
+    gcd of the per-side gcds.
+    """
+    side_gcds = [gcd_many(_leave_one_out(probs), GCD_TOL) for probs in sides]
+    g = side_gcds[0]
+    for other in side_gcds[1:]:
+        g = gcd_degree(g.gcd_coeffs, other.gcd_coeffs, GCD_TOL)
+    return g
+
+
+def _numeric_rank(values) -> int:
+    """Count of descending eigenvalues above ``RANK_TOL * lambda_max``.
+
+    0 when ``lambda_max <= 0`` (a zero or empty spectrum).
+    """
+    lam_max = float(values[0]) if values.size else 0.0
+    if lam_max <= 0.0:
+        return 0
+    return int(np.sum(values > RANK_TOL * lam_max))
+
+
+def covariance_rank(x_pmvs, y_pmvs=None) -> RankReport:
     """Rank analysis of the limiting covariance of the convolution statistic.
 
     With only ``x_pmvs`` the matrix analyzed is the goodness-of-fit
@@ -247,43 +270,35 @@ def covariance_rank(
     gcd of the two per-side gcds.  Both sides must then have equal total
     support degree (pad caller-side otherwise).
     """
-    x_pmvs = list(x_pmvs)
-    if not x_pmvs:
+    sides = [list(x_pmvs)]
+    if not sides[0]:
         raise NeedTwoVariables("covariance_rank requires at least one PMV")
-    s = sum(p.r for p in x_pmvs)
-    x_loo = _loo_or_identity(x_pmvs)
-    gcd = gcd_many([p.probs for p in x_loo], tol)
-    zero_sets = [p.zero_indices for p in x_pmvs]
-    interior = all(p.interior for p in x_pmvs)
-    matrix = covest._weighted_cov([p.probs for p in x_pmvs])
-
+    s = sum(p.r for p in sides[0])
     if y_pmvs is not None:
-        y_pmvs = list(y_pmvs)
-        if not y_pmvs:
+        sides.append(list(y_pmvs))
+        if not sides[1]:
             raise NeedTwoVariables("y side must contain at least one PMV")
-        s_y = sum(p.r for p in y_pmvs)
+        s_y = sum(p.r for p in sides[1])
         if s_y != s:
             raise DimensionMismatch(
                 f"total support degree differs between sides: {s} vs {s_y}"
             )
-        y_loo = _loo_or_identity(y_pmvs)
-        gcd_y = gcd_many([p.probs for p in y_loo], tol)
-        gcd = gcd_degree(gcd.gcd_coeffs, gcd_y.gcd_coeffs, tol)
-        zero_sets += [p.zero_indices for p in y_pmvs]
-        interior = interior and all(p.interior for p in y_pmvs)
-        matrix = matrix + covest._weighted_cov([p.probs for p in y_pmvs])
-
-    analytic = s - gcd.degree if interior else None
+    probs = [[p.probs for p in side] for side in sides]
+    gcd = _sides_gcd(probs)
+    pmvs = [p for side in sides for p in side]
+    zero_sets = tuple(p.zero_indices for p in pmvs)
+    analytic = s - gcd.degree if all(p.interior for p in pmvs) else None
     lower = max(0, s - gcd.degree - sum(len(z) for z in zero_sets))
+    matrix = covest._weighted_cov(probs[0])
+    for side in probs[1:]:
+        matrix = matrix + covest._weighted_cov(side)
     dec = symlin.eigh(matrix)
-    lam_max = float(dec.values[0]) if dec.values.size else 0.0
-    numeric = int(np.sum(dec.values > rank_tol * lam_max)) if lam_max > 0 else 0
     return RankReport(
         s=s,
         analytic_rank=analytic,
         lower_bound=lower,
-        numeric_rank=numeric,
-        zero_index_sets=tuple(zero_sets),
+        numeric_rank=_numeric_rank(dec.values),
+        zero_index_sets=zero_sets,
         gcd=gcd,
         eigenvalues=dec.values,
     )

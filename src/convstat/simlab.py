@@ -39,7 +39,7 @@ import numpy as np
 
 from . import covest, hyptest, symlin
 from .errors import InputError, ModelDegenerate
-from .pmv import PMV, _convolve
+from .pmv import PMV, _convolve, _integer
 
 __all__ = [
     "ALL_STATISTICS",
@@ -316,8 +316,8 @@ def run_scenario(scn: SimScenario, workers: int = 1) -> SimResult:
     """Evaluate all requested statistics over ``scn.L`` replicates.
 
     With ``workers > 1`` the replicates are split into contiguous blocks
-    handled by a process pool; the counter-based RNG keying makes the
-    result identical to a serial run.
+    handled by a pool of at most one process per block; the counter-based
+    RNG keying makes the result identical to a serial run.
     """
     if workers <= 1:
         rejects, falls = _count_block((scn, 0, scn.L))
@@ -331,7 +331,7 @@ def run_scenario(scn: SimScenario, workers: int = 1) -> SimResult:
             (scn, start, min(start + chunk, scn.L))
             for start in range(0, scn.L, chunk)
         ]
-        with multiprocessing.Pool(int(workers)) as pool:
+        with multiprocessing.Pool(min(int(workers), len(blocks))) as pool:
             parts = pool.map(_count_block, blocks)
         rejects = sum(p[0] for p in parts)
         falls = sum(p[1] for p in parts)
@@ -357,17 +357,6 @@ def rejection_proportion(scn: SimScenario, statistic_id: str,
 
 
 _AXES = ("rho", "m", "p")
-
-
-def _integer(what: str, value) -> int:
-    # JSON numbers arrive as int or float; a fraction is a typo, not
-    # something to truncate.
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Integral)
-        or (isinstance(value, numbers.Real) and float(value).is_integer())
-    ):
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _real(what: str, value) -> float:

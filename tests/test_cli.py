@@ -234,3 +234,34 @@ class TestSimulateCommand:
         config = tmp_path / "cfg.json"
         config.write_text('{"p": 0.3}')
         assert main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+
+
+class TestDataFileSpellings:
+    """PMV literals and files share the data files' number parser."""
+
+    @pytest.mark.parametrize("literal", ["2_5e-1,0.5,0.25", "0.25,0.5,0_25"])
+    def test_underscore_literal_is_input_error(self, datafiles, capsys,
+                                               literal):
+        assert main(["gof", datafiles["x"], "--z", literal]) == 2
+        assert "cannot parse PMV" in capsys.readouterr().err
+
+    def test_underscore_in_pmv_file_is_input_error(self, tmp_path, capsys):
+        pmv = tmp_path / "z.txt"
+        pmv.write_text("0.5\n0_5\n")
+        assert main(["rank", "--pmv", str(pmv), "--pmv", "0.5,0.5"]) == 2
+
+    def test_literal_matches_data_file_value(self, datafiles, capsys):
+        assert main(["gof", datafiles["x"], "--z", "1.4e-1, 0.62 ,0.24",
+                     "--json"]) == 0
+        spaced = json.loads(capsys.readouterr().out)
+        assert main(["gof", datafiles["x"], "--z", "0.14,0.62,0.24",
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == spaced
+
+    @pytest.mark.parametrize("zeta", ["inf", "-inf", "nan"])
+    def test_non_finite_lattice_is_input_error(self, tmp_path, capsys, zeta):
+        data = tmp_path / "lat.csv"
+        data.write_text(f"#lattice {zeta}\nvariable_id,value\nA1,0\nA1,1\n"
+                        "A2,1\nA2,0\n")
+        assert main(["gof", str(data), "--z", "0.25,0.5,0.25"]) == 2
+        assert "zeta must be finite" in capsys.readouterr().err

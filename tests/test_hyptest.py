@@ -18,11 +18,13 @@ from convstat import (
     RankOutOfRange,
     SampleSet,
     SupportMismatch,
+    SupportViolation,
     TestReport,
     ZeroExpected,
     canonicalize,
     convolve,
     convolve_all,
+    covariance_rank,
     ed_test,
     empirical_pmv,
     gof_test,
@@ -456,3 +458,144 @@ class TestReportRoundTrip:
         report = pearson_gof([0, 1, 1, 2], PMV([0.14, 0.62, 0.24]))
         clone = TestReport.from_dict(json.loads(json.dumps(report.to_dict())))
         assert clone == report
+
+
+class TestSampleSetValidation:
+    @pytest.mark.parametrize("zeta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_zeta_rejected(self, zeta):
+        with pytest.raises(InputError, match="zeta must be finite"):
+            SampleSet(variables=([0, 1], [1, 2]), zeta=zeta)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.5, math.inf, math.nan, True])
+    def test_non_integral_coefficient_rejected(self, bad):
+        with pytest.raises(InputError, match="coefficient a_1"):
+            SampleSet(variables=([0, 1], [1, 2]), coeffs=(bad, 1))
+
+    def test_integral_coefficients_accepted(self):
+        raw = SampleSet(variables=([0, 1], [1, 2]),
+                        coeffs=(2.0, np.int64(-1)))
+        assert raw.coeffs == (2, -1)
+        assert all(type(c) is int for c in raw.coeffs)
+
+
+class TestPearsonInputs:
+    """Sums must be integers: no truncation of fractions, no numpy leaks."""
+
+    Z = PMV([0.25, 0.5, 0.25])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sums_rejected(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            pearson_gof([bad, 1.0], self.Z)
+        with pytest.raises(DomainError, match="non-finite"):
+            pearson_ed([bad, 1.0], [0, 1])
+        with pytest.raises(DomainError, match="non-finite"):
+            pearson_ed([0, 1], [1.0, bad])
+
+    @pytest.mark.parametrize("bad", [0.5, 1.25, -0.5])
+    def test_fractional_sums_rejected(self, bad):
+        with pytest.raises(SupportViolation, match="integers"):
+            pearson_gof([bad, 1.0], self.Z)
+        with pytest.raises(SupportViolation, match="integers"):
+            pearson_ed([bad, 1.0], [0, 1])
+        with pytest.raises(SupportViolation, match="integers"):
+            pearson_ed([0, 1], [1.0, bad])
+
+    def test_integral_floats_match_integers(self):
+        sums = [0, 1, 1, 2, 2, 2]
+        floats = np.asarray(sums, dtype=float)
+        assert pearson_gof(floats, self.Z) == pearson_gof(sums, self.Z)
+        assert pearson_ed(floats, floats[::-1]) == pearson_ed(sums, sums[::-1])
+
+
+def _exact_sample(weights, mult):
+    """Observations whose empirical PMV is exactly ``weights / sum``."""
+    return np.repeat(np.arange(len(weights)), np.asarray(weights) * mult)
+
+
+class TestRankReportsAgree:
+    """The tests' gcd rank policies report ``covariance_rank``'s rank.
+
+    Under ``analytic`` the dof is ``analytic_rank`` (clamped to 1) and
+    under ``lower``, or ``analytic`` on PMVs with zero cells, it is
+    ``max(1, lower_bound)``, on the same empirical PMVs.
+    """
+
+    WEIGHTS = {
+        "interior": [[1, 2, 1], [2, 3], [1, 1, 4]],
+        # every PGF carries the factor 1 + 2t, so deg gcd >= 2
+        "shared_root": [np.convolve([1, 2], [1, 3]), np.convolve([1, 2], [2, 1]),
+                        np.convolve([1, 2], [1, 1, 1])],
+        "zero_cell": [[2, 0, 1], [1, 3], [1, 1, 2]],
+        "equal": [[1, 1], [1, 1]],
+    }
+
+    @staticmethod
+    def expected(rank, policy):
+        if policy == "analytic" and rank.analytic_rank is not None:
+            return max(1, rank.analytic_rank)
+        return max(1, rank.lower_bound)
+
+    @staticmethod
+    def side(weights, mults):
+        xs = [_exact_sample(w, m) for w, m in zip(weights, mults)]
+        lens = [len(w) - 1 for w in weights]
+        pmvs = [empirical_pmv(v, r).pmv for v, r in zip(xs, lens)]
+        return xs, lens, pmvs
+
+    @pytest.mark.parametrize("policy", ["analytic", "lower"])
+    @pytest.mark.parametrize("kind", sorted(WEIGHTS))
+    def test_gof(self, kind, policy):
+        weights = self.WEIGHTS[kind]
+        xs, lens, pmvs = self.side(weights, range(3, 3 + len(weights)))
+        rank = covariance_rank(pmvs)
+        report = gof_test(xs, convolve_all(pmvs), rank_policy=policy,
+                          support_lens=lens)
+        assert report.dof == self.expected(rank, policy)
+        assert report.diagnostics["gcd_degree"] == rank.gcd.degree
+
+    @pytest.mark.parametrize("policy", ["analytic", "lower"])
+    @pytest.mark.parametrize("y_side", ["reversed", "regrouped"])
+    @pytest.mark.parametrize("kind", sorted(WEIGHTS))
+    def test_two_sided_ed(self, kind, y_side, policy):
+        x_weights = self.WEIGHTS[kind]
+        s = sum(len(w) - 1 for w in x_weights)
+        if y_side == "reversed":
+            y_weights = x_weights[::-1]
+        else:  # two variables that share the root of 1 + 2t
+            y_weights = [[1, 2], np.convolve([1, 2], [1] * (s - 1))]
+        xs, x_lens, x_pmvs = self.side(x_weights, range(2, 2 + len(x_weights)))
+        ys, y_lens, y_pmvs = self.side(y_weights, range(5, 5 + len(y_weights)))
+        assert sum(y_lens) == s
+        rank = covariance_rank(x_pmvs, y_pmvs)
+        report = ed_test(xs, ys, rank_policy=policy, x_support_lens=x_lens,
+                         y_support_lens=y_lens)
+        assert not report.diagnostics["padded"]
+        assert report.dof == self.expected(rank, policy)
+        assert report.diagnostics["gcd_degree"] == rank.gcd.degree
+
+    @pytest.mark.parametrize("policy", ["analytic", "lower"])
+    def test_random_grid(self, policy):
+        rng = np.random.default_rng(53)
+        for _ in range(40):
+            k, r = int(rng.choice([2, 3, 5])), int(rng.choice([1, 3]))
+            shared = rng.integers(1, 4, size=2)
+            weights = [rng.integers(0 if rng.random() < 0.3 else 1, 5, r + 1)
+                       for _ in range(k)]
+            if rng.random() < 0.5:
+                weights = [np.convolve(shared, w) for w in weights]
+            weights = [np.where(w.sum() == 0, 1, w) for w in weights]
+            xs, lens, pmvs = self.side(weights, rng.integers(1, 6, size=k))
+            ys, _, y_pmvs = self.side(weights[::-1], rng.integers(1, 6, size=k))
+            if all(np.count_nonzero(p.probs) == 1 for p in pmvs + y_pmvs):
+                continue  # zero covariance: the Pearson fallback
+            rank = covariance_rank(pmvs, y_pmvs)
+            report = ed_test(xs, ys, rank_policy=policy, x_support_lens=lens,
+                             y_support_lens=lens[::-1])
+            assert report.dof == self.expected(rank, policy)
+            if all(np.count_nonzero(p.probs) == 1 for p in pmvs):
+                continue
+            rank = covariance_rank(pmvs)
+            report = gof_test(xs, convolve_all(pmvs), rank_policy=policy,
+                              support_lens=lens)
+            assert report.dof == self.expected(rank, policy)

@@ -447,3 +447,33 @@ class TestArtifacts:
         scn, axis, values = load_config(path)
         assert axis == "rho"
         assert values == [0.4]
+
+
+class TestPoolSize:
+    class SerialPool:
+        """Stands in for ``multiprocessing.Pool``; maps in this process."""
+
+        sizes = []
+
+        def __init__(self, processes):
+            self.sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    @pytest.mark.parametrize("workers,L,size", [(64, 10, 10), (4, 10, 4),
+                                                (3, 2, 2)])
+    def test_pool_never_exceeds_blocks(self, monkeypatch, workers, L, size):
+        import multiprocessing
+
+        self.SerialPool.sizes.clear()
+        monkeypatch.setattr(multiprocessing, "Pool", self.SerialPool)
+        scn = scenario(L=L)
+        assert run_scenario(scn, workers=workers) == run_scenario(scn)
+        assert self.SerialPool.sizes == [size]
