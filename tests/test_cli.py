@@ -250,7 +250,7 @@ class TestDataFileSpellings:
         pmv.write_text("0.5\n0_5\n")
         assert main(["rank", "--pmv", str(pmv), "--pmv", "0.5,0.5"]) == 2
 
-    def test_literal_matches_data_file_value(self, datafiles, capsys):
+    def test_exponent_and_blanks_in_literal(self, datafiles, capsys):
         assert main(["gof", datafiles["x"], "--z", "1.4e-1, 0.62 ,0.24",
                      "--json"]) == 0
         spaced = json.loads(capsys.readouterr().out)
