@@ -19,6 +19,7 @@ import numpy as np
 
 from . import covest, symlin
 from .errors import (
+    DimensionMismatch,
     EmptySample,
     InputError,
     LatticeViolation,
@@ -196,22 +197,32 @@ def canonicalize(raw: SampleSet) -> CanonicalSamples:
 
 
 def _coerce_samples(x, support_lens=None):
-    """Accept CanonicalSamples or a plain per-variable sequence."""
-    if isinstance(x, CanonicalSamples):
-        lens = tuple(support_lens) if support_lens is not None else x.support_lens
-        return list(x.variables), list(lens), x.total_offset, True
-    arrays = [np.asarray(v) for v in x]
-    if not arrays:
-        raise EmptySample("no variables supplied")
-    for i, v in enumerate(arrays):
-        if v.size == 0:
-            raise EmptySample(f"variable {i} has no observations")
-        _require_finite(v, f"variable {i}")
+    """Accept CanonicalSamples or a plain per-variable sequence.
+
+    An explicit ``support_lens`` needs one entry per variable.
+    """
+    canonical = isinstance(x, CanonicalSamples)
+    if canonical:
+        arrays = list(x.variables)
+    else:
+        arrays = [np.asarray(v) for v in x]
+        if not arrays:
+            raise EmptySample("no variables supplied")
+        for i, v in enumerate(arrays):
+            if v.size == 0:
+                raise EmptySample(f"variable {i} has no observations")
+            _require_finite(v, f"variable {i}")
     if support_lens is not None:
         lens = list(support_lens)
+        if len(lens) != len(arrays):
+            raise DimensionMismatch(
+                f"{len(lens)} support lengths for {len(arrays)} variables"
+            )
+    elif canonical:
+        lens = list(x.support_lens)
     else:
         lens = [int(np.max(v)) for v in arrays]
-    return arrays, lens, 0, False
+    return arrays, lens, x.total_offset if canonical else 0, canonical
 
 
 def paired_sums(variables):

@@ -126,23 +126,25 @@ class EmpiricalPMV:
 def empirical_pmv(samples, r: int) -> EmpiricalPMV:
     """Estimate a PMV on ``{0, ..., r}`` by relative frequencies.
 
-    Raises ``EmptySample`` for empty input, ``DomainError`` for NaN or
-    infinity, and ``SupportViolation`` when any observation is non-integral
-    or outside ``{0, ..., r}``.
+    Raises ``EmptySample`` for empty input, ``DimensionMismatch`` for
+    input that is not 1-D, ``DomainError`` for NaN or infinity,
+    ``InputError`` for a non-integral ``r``, and ``SupportViolation`` when
+    any observation is non-integral or outside ``{0, ..., r}``.
     """
     values = np.asarray(samples)
     if values.size == 0:
         raise EmptySample("no observations supplied")
     values = _integer_values(values, "observations")
-    if int(r) < 0:
+    r = _integer("support degree r", r)
+    if r < 0:
         raise SupportViolation("support degree r must be nonnegative")
-    if values.min() < 0 or values.max() > int(r):
+    if values.min() < 0 or values.max() > r:
         raise SupportViolation(
-            f"observations must lie in {{0, ..., {int(r)}}}; "
+            f"observations must lie in {{0, ..., {r}}}; "
             f"got range [{values.min()}, {values.max()}]"
         )
     n = values.size
-    counts = np.bincount(values, minlength=int(r) + 1)
+    counts = np.bincount(values, minlength=r + 1)
     return EmpiricalPMV(pmv=PMV(counts / n), n=int(n))
 
 
@@ -155,8 +157,13 @@ def _require_finite(values, what: str) -> None:
 
 
 def _integer_values(values: np.ndarray, what: str) -> np.ndarray:
-    """An integer array of ``values``: NaN or infinity raise ``DomainError``
-    and fractions ``SupportViolation``."""
+    """An integer 1-D array of ``values``: another shape raises
+    ``DimensionMismatch``, NaN or infinity ``DomainError`` and fractions
+    ``SupportViolation``."""
+    if values.ndim != 1:
+        raise DimensionMismatch(
+            f"{what} must be a 1-D array, got shape {values.shape}"
+        )
     if np.issubdtype(values.dtype, np.integer):
         return values
     _require_finite(values, what)

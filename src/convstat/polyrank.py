@@ -7,18 +7,20 @@ matrix of the convolution statistic: for interior PMVs the rank is
 ``s - deg gcd`` where ``s`` is the total support degree, and in general
 that value minus the number of zero PMV entries is a lower bound.
 
-Floating-point gcds are ill-posed, so the DEGREE is computed robustly as
-the nullity of a stacked convolution-transpose (Sylvester-like) matrix by
-singular-value thresholding, and coefficient recovery is best effort:
-a Euclidean remainder sequence steered by the known degree, polished by
-alternating least squares against both inputs.  The rank formulas consume
-only the degree.
+Floating-point gcds are ill-posed, so the gcd of several polynomials is
+read from one SVD of their generalized Sylvester matrix (the stacked
+convolution-transpose blocks of every input): the degree is the matrix's
+nullity at a singular-value cut, and the coefficients are the common null
+vector of the Hankel windows of its null space (``_sylvester_gcd``).
 
-This module is the one owner of every rank decision: the gcd fold over
-the leave-one-out PGFs (``_sides_gcd``), the numeric eigenvalue count
-(``_numeric_rank``), the rank formulas and their tolerances ``GCD_TOL``
-and ``RANK_TOL``.  The tests' rank policies and the oracle statistics in
-:mod:`convstat.hyptest` decide through these, not through copies.
+This module is the one owner of every rank decision: the gcd of the
+leave-one-out PGFs (``_sides_gcd``, one SVD of the covariance's own
+stacked factor with the size-derived cut ``max(shape) * eps``), the
+numeric eigenvalue count (``_numeric_rank``) and the rank formulas.  The
+public ``gcd_degree`` / ``gcd_many`` take a relative cut, ``GCD_TOL`` by
+default; ``RANK_TOL`` is the eigenvalue cut.  The tests' rank policies and
+the oracle statistics in :mod:`convstat.hyptest` decide through these,
+not through copies.
 """
 
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import covest, symlin
-from .errors import DimensionMismatch, NeedTwoVariables, ZeroInput
+from .errors import DimensionMismatch, DomainError, NeedTwoVariables, ZeroInput
 from .pmv import PMV, _conv_matrix, _leave_one_out
 
 __all__ = [
@@ -41,8 +43,8 @@ __all__ = [
     "RANK_TOL",
 ]
 
-# Default relative singular-value threshold separating true zeros from
-# roundoff at the matrix sizes this package works with (<= ~100x100).
+# Default relative singular-value cut of the public gcd_degree / gcd_many;
+# the rank path cuts at max(shape) * eps instead.
 GCD_TOL = 1e-9
 # Relative eigenvalue threshold for numeric rank decisions.
 RANK_TOL = 1e-10
@@ -57,10 +59,13 @@ class GcdResult:
     ``degree`` is the SVD-certified gcd degree.  ``gcd_coeffs`` is the
     recovered coefficient vector normalized to sum 1 (the polynomial
     normalization ``u(1) = 1``); when that sum is negligible relative to
-    the coefficient scale the normalization is unstable and
-    ``unstable_normalization`` is set instead of silently failing.
-    ``residual`` is the smallest retained singular value divided by the
-    largest one: small values flag a borderline degree decision.
+    the coefficient scale the normalization is unstable:
+    ``unstable_normalization`` is set and the largest-magnitude entry is
+    scaled to 1 instead.
+    ``residual`` is ``sigma_rank / sigma_max`` of the Sylvester matrix,
+    the smallest singular value kept above the cut over the largest: small
+    values flag a borderline degree decision.  It is 1 when an input is
+    constant and no decomposition is taken.
     """
 
     degree: int
@@ -100,92 +105,40 @@ def _trim(vec) -> np.ndarray:
     return vec[: last + 1]
 
 
-def _polydiv(num: np.ndarray, den: np.ndarray):
-    """Ascending-order polynomial long division; returns the remainder."""
-    rem = num.copy()
-    dn = den.size - 1
-    lead = den[-1]
-    for k in range(num.size - 1, dn - 1, -1):
-        coef = rem[k] / lead
-        if coef != 0.0:
-            rem[k - dn : k + 1] -= coef * den
-        rem[k] = 0.0
-    return rem[:dn] if dn > 0 else rem[:1] * 0.0
-
-
-def _euclid_candidate(v: np.ndarray, w: np.ndarray, degree: int) -> np.ndarray:
-    """Remainder sequence stopped at the SVD-certified gcd degree."""
-    f0, f1 = (v, w) if v.size >= w.size else (w, v)
-    f0 = f0 / np.max(np.abs(f0))
-    f1 = f1 / np.max(np.abs(f1))
-    while f1.size - 1 > degree:
-        rem = _polydiv(f0, f1)
-        scale = np.max(np.abs(rem))
-        if scale <= 1e-12:
-            break
-        rem = rem / scale
-        keep = np.abs(rem) > 1e-10
-        if not np.any(keep):
-            break
-        rem = rem[: int(np.max(np.nonzero(keep)[0])) + 1]
-        f0, f1 = f1, rem
-    if f1.size - 1 == degree:
-        return f1
-    # Degree overshot by roundoff; hand a flat start to the refinement.
-    return np.ones(degree + 1)
-
-
-def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.linalg.lstsq(a, b, rcond=None)[0]
-
-
-def _refine_gcd(g: np.ndarray, v: np.ndarray, w: np.ndarray, degree: int) -> np.ndarray:
-    """Alternating least squares on the cofactor relations v = g*p, w = g*q."""
-    for _ in range(4):
-        p = _lstsq(_conv_matrix(g, v.size - degree), v)
-        q = _lstsq(_conv_matrix(g, w.size - degree), w)
-        stacked = np.vstack(
-            [_conv_matrix(p, degree + 1), _conv_matrix(q, degree + 1)]
-        )
-        g = _lstsq(stacked, np.concatenate([v, w]))
-    return g
-
-
 def _normalize(g: np.ndarray):
+    peak = float(g[np.argmax(np.abs(g))])
     total = float(g.sum())
-    scale = float(np.max(np.abs(g)))
-    unstable = abs(total) < 1e-8 * scale
-    if total != 0.0:
-        g = g / total
-    else:
-        g = g / scale
-    return g, unstable
+    unstable = abs(total) < 1e-8 * abs(peak)
+    return g / (peak if unstable else total), unstable
 
 
-def gcd_degree(v, w, tol: float = GCD_TOL) -> GcdResult:
-    """Numerical gcd of two coefficient vectors.
+def _sylvester_gcd(polys, n: int, tol) -> GcdResult:
+    """gcd of trimmed coefficient vectors from one generalized Sylvester SVD.
 
-    The degree is the nullity of the stacked matrix
-    ``[T(w)'; T(v)']`` obtained from singular values below
-    ``tol * sigma_max``; coefficients are then recovered by Euclidean
-    division refined against both inputs and normalized to sum 1.
+    Each ``f`` contributes the ``n - f.size + 1`` shifts ``t^j f`` as rows
+    of ``n`` columns; when ``n`` is large enough their span is ``g`` times
+    every polynomial of degree ``< n - deg g``, so ``deg g = n - rank``.
+    Singular values at or below ``tol * sigma_max`` count as zero (``tol``
+    is None for the size-derived cut ``max(shape) * eps``).  The shifts of
+    ``g`` are orthogonal to the null space, so ``g`` is the null vector of
+    the stacked length-``deg g + 1`` Hankel windows of the null vectors;
+    singular vectors are computed only when the degree is positive.  A
+    constant input makes the gcd 1 without a decomposition.
     """
-    v = _trim(v)
-    w = _trim(w)
-    a, b = v.size - 1, w.size - 1
-    if a == 0 or b == 0:
+    if min(f.size for f in polys) == 1:
         return GcdResult(degree=0, gcd_coeffs=np.array([1.0]), residual=1.0)
-    stacked = np.vstack([_conv_matrix(w, a + 1).T, _conv_matrix(v, b + 1).T])
+    stacked = np.vstack([_conv_matrix(f, n - f.size + 1).T for f in polys])
     sv = np.linalg.svd(stacked, compute_uv=False)
-    smax = float(sv[0])
-    cut = tol * smax
-    degree = int(np.sum(sv <= cut))
-    retained = sv[sv > cut]
-    residual = float(retained[-1] / smax)
+    if tol is None:
+        tol = max(stacked.shape) * np.finfo(float).eps
+    rank = int(np.sum(sv > tol * sv[0]))
+    degree = n - rank
+    residual = float(sv[rank - 1] / sv[0])
     if degree == 0:
         return GcdResult(degree=0, gcd_coeffs=np.array([1.0]), residual=residual)
-    g = _euclid_candidate(v, w, degree)
-    g = _refine_gcd(g, v, w, degree)
+    null = np.linalg.svd(stacked)[2][rank:]
+    windows = null[:, np.arange(rank)[:, None] + np.arange(degree + 1)]
+    g = np.linalg.svd(windows.reshape(-1, degree + 1))[2][-1]
     g, unstable = _normalize(g)
     return GcdResult(
         degree=degree, gcd_coeffs=g, residual=residual,
@@ -193,33 +146,30 @@ def gcd_degree(v, w, tol: float = GCD_TOL) -> GcdResult:
     )
 
 
-def gcd_many(vs, tol: float = GCD_TOL) -> GcdResult:
-    """Left fold of :func:`gcd_degree` over a sequence of vectors.
+def gcd_degree(v, w, tol: float = GCD_TOL) -> GcdResult:
+    """Numerical gcd of two coefficient vectors: ``gcd_many([v, w], tol)``.
 
-    A single vector is its own gcd (normalized); this is the degenerate
-    one-variable case of the leave-one-out construction.  The reported
-    residual is the smallest across fold steps, i.e. the most borderline
-    decision taken.
+    The degree is the nullity of the Sylvester matrix ``[T(w)'; T(v)']``
+    from singular values at or below ``tol * sigma_max``.
     """
-    vs = [np.asarray(v, dtype=float) for v in vs]
+    return gcd_many([v, w], tol)
+
+
+def gcd_many(vs, tol: float = GCD_TOL) -> GcdResult:
+    """Numerical gcd of a sequence of coefficient vectors in one SVD.
+
+    The generalized Sylvester matrix has ``n`` columns, the two largest
+    input sizes less one, which for two vectors is their Sylvester matrix.
+    A single vector (``n`` its size, one row) is its own gcd, normalized.
+    ``tol`` must lie in [0, 1).
+    """
+    if not 0.0 <= tol < 1.0:
+        raise DomainError(f"gcd tolerance must lie in [0, 1), got {tol!r}")
+    vs = [_trim(v) for v in vs]
     if not vs:
         raise ZeroInput("gcd_many requires at least one vector")
-    first = _trim(vs[0])
-    g, unstable = _normalize(first)
-    result = GcdResult(
-        degree=g.size - 1, gcd_coeffs=g, residual=1.0,
-        unstable_normalization=unstable,
-    )
-    for v in vs[1:]:
-        step = gcd_degree(result.gcd_coeffs, v, tol)
-        result = GcdResult(
-            degree=step.degree,
-            gcd_coeffs=step.gcd_coeffs,
-            residual=min(result.residual, step.residual),
-            unstable_normalization=result.unstable_normalization
-            or step.unstable_normalization,
-        )
-    return result
+    n = sum(sorted(v.size - 1 for v in vs)[-2:]) + 1
+    return _sylvester_gcd(vs, n, tol)
 
 
 def leave_one_out(pmvs) -> list:
@@ -237,18 +187,19 @@ def leave_one_out(pmvs) -> list:
 
 
 def _sides_gcd(sides) -> GcdResult:
-    """gcd of the leave-one-out PGFs, folded across the sides.
+    """gcd of every side's leave-one-out PGFs in one Sylvester SVD.
 
-    ``sides`` holds one list of probability vectors per side.  Each side's
-    gcd folds over its leave-one-out PGFs (one vector's leave-one-out is
-    the identity ``(1,)``); for the two-sample covariance the gcd is the
-    gcd of the per-side gcds.
+    ``sides`` holds one list of probability vectors per side.  The matrix
+    has ``n = max s + 1`` columns: for one side its rows are the columns of
+    the covariance's factors ``T(x_(i)) = C(x_(i), r_i + 1)``, so
+    ``n - rank`` is the ``deg g`` of the rank formula ``s - deg g``.  A
+    smaller side (a zero-padded ED test) or a trimmed trailing zero gives
+    a block more shifts, and a one-variable side contributes the identity
+    ``(1,)``, so its gcd is 1.  The cut is ``max(shape) * eps * sigma_max``.
     """
-    side_gcds = [gcd_many(_leave_one_out(probs), GCD_TOL) for probs in sides]
-    g = side_gcds[0]
-    for other in side_gcds[1:]:
-        g = gcd_degree(g.gcd_coeffs, other.gcd_coeffs, GCD_TOL)
-    return g
+    n = max(sum(p.size - 1 for p in probs) for probs in sides) + 1
+    polys = [_trim(f) for probs in sides for f in _leave_one_out(probs)]
+    return _sylvester_gcd(polys, n, None)
 
 
 def _numeric_rank(values) -> int:

@@ -599,3 +599,44 @@ class TestRankReportsAgree:
             report = gof_test(xs, convolve_all(pmvs), rank_policy=policy,
                               support_lens=lens)
             assert report.dof == self.expected(rank, policy)
+
+
+class TestSupportLensLength:
+    """An explicit support-length list needs one entry per variable."""
+
+    XS = [[0, 1, 1], [0, 1, 0]]
+
+    @pytest.mark.parametrize("lens", [[1], [1, 1, 1]])
+    def test_plain_samples(self, lens):
+        with pytest.raises(DimensionMismatch, match="support lengths"):
+            ed_test(self.XS, self.XS, x_support_lens=lens)
+        with pytest.raises(DimensionMismatch, match="support lengths"):
+            ed_test(self.XS, self.XS, y_support_lens=lens)
+        with pytest.raises(DimensionMismatch, match="support lengths"):
+            gof_test(self.XS, [0.25, 0.5, 0.25], support_lens=lens)
+
+    def test_canonical_samples(self):
+        canon = canonicalize(SampleSet(variables=(np.array([0, 1]),
+                                                  np.array([1, 2]))))
+        with pytest.raises(DimensionMismatch, match="support lengths"):
+            gof_test(canon, [0.25, 0.5, 0.25], support_lens=[1])
+
+    def test_matching_length_accepted(self):
+        report = ed_test(self.XS, self.XS, x_support_lens=[1, 1],
+                         y_support_lens=[1, 1])
+        assert report.dof >= 1
+
+
+class TestPearsonShapes:
+    """Sums must be one 1-D array: other shapes raise InputError."""
+
+    Z = PMV([0.25, 0.5, 0.25])
+
+    @pytest.mark.parametrize("bad", [[[0, 1], [1, 2]], 1])
+    def test_not_one_dimensional(self, bad):
+        with pytest.raises(InputError, match="1-D"):
+            pearson_gof(bad, self.Z)
+        with pytest.raises(InputError, match="1-D"):
+            pearson_ed(bad, [0, 1])
+        with pytest.raises(InputError, match="1-D"):
+            pearson_ed([0, 1], bad)

@@ -10,6 +10,7 @@ from convstat import (
     DomainError,
     EmptyProduct,
     EmptySample,
+    InputError,
     InvalidPMV,
     PMV,
     SupportViolation,
@@ -116,6 +117,19 @@ class TestEmpiricalPMV:
             samples = rng.integers(0, 4, size=n)
             e = empirical_pmv(samples, 3)
             assert np.all(np.abs(e.pmv.probs * n - np.rint(e.pmv.probs * n)) < 1e-12)
+
+    @pytest.mark.parametrize("bad", [1.5, 0.5, np.nan, True])
+    def test_fractional_support_degree_rejected(self, bad):
+        with pytest.raises(InputError, match="support degree r"):
+            empirical_pmv([0, 1], bad)
+
+    def test_integral_float_support_degree_accepted(self):
+        e = empirical_pmv([0, 1], 2.0)
+        assert np.allclose(e.pmv.probs, [0.5, 0.5, 0.0])
+
+    def test_two_dimensional_observations_rejected(self):
+        with pytest.raises(InputError, match="1-D"):
+            empirical_pmv([[0, 1], [1, 0]], 1)
 
 
 class TestConvolve:

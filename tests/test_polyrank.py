@@ -5,6 +5,7 @@ import pytest
 
 from convstat import (
     DimensionMismatch,
+    DomainError,
     NeedTwoVariables,
     PMV,
     ZeroInput,
@@ -127,6 +128,15 @@ class TestGcdMany:
     def test_empty_rejected(self):
         with pytest.raises(ZeroInput):
             gcd_many([])
+
+    @pytest.mark.parametrize("tol", [1.0, 2.0, -1e-9, float("nan")])
+    def test_tolerance_outside_unit_interval_rejected(self, tol):
+        # a cut at or above sigma_max would report a gcd of higher degree
+        # than either input
+        with pytest.raises(DomainError, match="tolerance"):
+            gcd_degree([1.0, 2.0], [1.0, 3.0], tol=tol)
+        with pytest.raises(DomainError, match="tolerance"):
+            gcd_many([[1.0, 2.0]], tol=tol)
 
 
 class TestLeaveOneOut:
