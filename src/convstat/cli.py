@@ -252,6 +252,8 @@ def read_paired_file(path: str):
         lineno, message = _bad_line(lines, numbers, rows, describe)
         raise _fail(f"{path}:{lineno}: {message}") from None
     _require_finite(table, path)
+    # 1e-9 forgives the decimal roundoff of an integer written as text
+    # (such as 3.0000000001); a fraction such as 0.5 is refused.
     if np.any(np.abs(table - np.rint(table)) > 1e-9):
         raise _fail(f"{path}: paired observations must be integers")
     return np.rint(table).astype(np.int64), names

@@ -24,7 +24,6 @@ from .errors import (
     InputError,
     LatticeViolation,
     NeedTwoVariables,
-    NotPaired,
     NumericalError,
     RankOutOfRange,
     SupportMismatch,
@@ -51,6 +50,9 @@ __all__ = [
     "oracle_statistics",
 ]
 
+# Distance from the lattice tolerated in units of zeta: room for the
+# decimal roundoff of values written as text (1e-9 of a unit), while a
+# real off-lattice value such as 0.5 is far outside it.
 _LATTICE_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
@@ -241,8 +243,10 @@ def paired_sums(variables):
 
 
 def _parse_policy(policy, s):
-    """``(kind, fixed rank)`` of a rank policy at total support degree s.
+    """``(label, fixed rank)`` of a rank policy at total support degree s.
 
+    The label is the report's ``rank_policy``: ``analytic``, ``numeric``,
+    ``lower_bound`` or ``fixed(N)``; the fixed rank is None unless fixed.
     ``fixed:N`` (or a plain int N) needs ``1 <= N <= max(1, s)`` on every
     path; a fixed rank above the estimate's own rank is not an error.
     """
@@ -252,7 +256,7 @@ def _parse_policy(policy, s):
     if text in ("analytic", "numeric"):
         return text, None
     if text in ("lower", "lower_bound"):
-        return "lower", None
+        return "lower_bound", None
     if not text.startswith("fixed:"):
         raise InputError(
             f"unknown rank policy {policy!r}; expected analytic, numeric, "
@@ -264,7 +268,7 @@ def _parse_policy(policy, s):
         raise InputError(f"bad fixed rank in policy {policy!r}") from None
     if not 1 <= r <= max(1, s):
         raise RankOutOfRange(f"fixed rank {r} outside 1..{max(1, s)}")
-    return "fixed", r
+    return f"fixed({r})", r
 
 
 def _wald_terms(vec, dec: symlin.EigenDecomp, r: int) -> np.ndarray:
@@ -276,8 +280,7 @@ def _wald_terms(vec, dec: symlin.EigenDecomp, r: int) -> np.ndarray:
     touching the degrees of freedom, mirroring the fixed-rank protocol.
     """
     lam = dec.values[..., :r]
-    scale = np.max(np.abs(lam), axis=-1, keepdims=True)
-    keep = np.abs(lam) > symlin.PINV_TOL * scale
+    keep = symlin._above_cut(lam, symlin.PINV_TOL)
     vec = np.asarray(vec, dtype=float)
     proj = (vec[..., None, :] @ dec.vectors[..., :r])[..., 0, :]
     return np.where(keep, proj * proj / np.where(keep, lam, 1.0), 0.0)
@@ -308,18 +311,12 @@ def _psd_wald(vec, dec: symlin.EigenDecomp, r: int):
     return stat if stat.ndim else float(stat)
 
 
-def _strict_rank(dec: symlin.EigenDecomp) -> int:
-    scale = float(np.max(np.abs(dec.values)))
-    if scale <= 0.0:
-        return 0
-    return int(np.sum(np.abs(dec.values) > symlin.PINV_TOL * scale))
-
-
 def _gcd_dof(kind, epmvs_sides, s, warnings, diagnostics):
     """dof = s - deg gcd - zeros of the leave-one-out convolutions.
 
-    ``zeros`` is the empirical PMVs' zero-entry count under the ``lower``
-    policy and 0 under ``analytic``; a result below 1 is clamped to 1.
+    ``zeros`` is the empirical PMVs' zero-entry count under the
+    ``lower_bound`` policy and 0 under ``analytic``; a result below 1 is
+    clamped to 1.
     """
     g = _sides_gcd([[e.pmv.probs for e in side] for side in epmvs_sides])
     diagnostics["gcd_degree"] = g.degree
@@ -340,30 +337,31 @@ def _gcd_dof(kind, epmvs_sides, s, warnings, diagnostics):
     return dof
 
 
-def _resolve_dof(kind, fixed_r, epmvs_sides, s, dec, warnings, diagnostics):
+def _resolve_dof(label, fixed_r, epmvs_sides, s, dec, warnings, diagnostics):
     """Degrees of freedom under the requested rank policy.
 
     Returns ``(dof, label)``; the analytic policy silently degrades to the
     lower-bound path (with a warning) when an empirical PMV has zero cells.
     """
-    if kind == "fixed":
-        strict = _strict_rank(dec)
+    if fixed_r is not None:
+        strict = int(np.sum(symlin._above_cut(dec.values, symlin.PINV_TOL)))
         if fixed_r > strict:
             warnings.append(
                 f"fixed rank {fixed_r} exceeds the covariance estimate's "
                 f"rank {strict}; the missing directions contribute 0"
             )
-        return fixed_r, f"fixed({fixed_r})"
-    if kind == "numeric":
-        return max(1, _numeric_rank(dec.values)), "numeric"
-    if kind == "analytic":
+        return fixed_r, label
+    if label == "numeric":
+        return max(1, _numeric_rank(dec.values)), label
+    if label == "analytic":
         if all(e.pmv.interior for side in epmvs_sides for e in side):
-            return _gcd_dof(kind, epmvs_sides, s, warnings, diagnostics), kind
+            return _gcd_dof(label, epmvs_sides, s, warnings, diagnostics), label
         warnings.append(
             "empirical PMVs have zero cells; analytic rank unavailable, "
             "using the lower-bound policy"
         )
-    return _gcd_dof("lower", epmvs_sides, s, warnings, diagnostics), "lower_bound"
+        label = "lower_bound"
+    return _gcd_dof(label, epmvs_sides, s, warnings, diagnostics), label
 
 
 def _pearson_gof_stat(counts, probs):
@@ -502,7 +500,7 @@ def _base_diagnostics(dec=None, m=None, warnings=None, **extra) -> dict:
     return d
 
 
-def _pearson_fallback(base, why, n_discarded, kind, fixed_r, warnings,
+def _pearson_fallback(base, why, n_discarded, label, fixed_r, warnings,
                       **extra):
     """Report for a zero covariance estimate: the Pearson value ``base``.
 
@@ -517,24 +515,24 @@ def _pearson_fallback(base, why, n_discarded, kind, fixed_r, warnings,
             f"Pearson pairing discarded {n_discarded} observations"
         )
     warnings.extend(base.diagnostics.get("warnings", []))
-    dof = fixed_r if kind == "fixed" else base.dof
+    dof = base.dof if fixed_r is None else fixed_r
     return TestReport(
         statistic=base.statistic,
         dof=dof,
         p_value=symlin.chi2_sf(base.statistic, dof),
-        rank_policy=f"fixed({fixed_r})" if kind == "fixed" else kind,
+        rank_policy=label,
         fallback_used=True,
         diagnostics=_base_diagnostics(warnings=warnings, **extra),
     )
 
 
-def _wald_report(vec, cov, kind, fixed_r, epmvs_sides, s, warnings, m,
+def _wald_report(vec, cov, label, fixed_r, epmvs_sides, s, warnings, m,
                  **extra):
     """Report of the Wald form of ``vec`` in the PSD estimate ``cov``."""
     dec = symlin.eigh(cov)
     diagnostics = _base_diagnostics(dec=dec, m=m, warnings=warnings, **extra)
     dof, label = _resolve_dof(
-        kind, fixed_r, epmvs_sides, s, dec, warnings, diagnostics
+        label, fixed_r, epmvs_sides, s, dec, warnings, diagnostics
     )
     statistic = _psd_wald(vec, dec, dof)
     return TestReport(
@@ -562,7 +560,7 @@ def gof_test(x, z, rank_policy="analytic", support_lens=None) -> TestReport:
         raise NeedTwoVariables(f"gof_test requires k >= 2 variables, got {len(arrays)}")
     epmvs = [empirical_pmv(v, r) for v, r in zip(arrays, lens)]
     s = sum(e.pmv.r for e in epmvs)
-    kind, fixed_r = _parse_policy(rank_policy, s)
+    label, fixed_r = _parse_policy(rank_policy, s)
     z = z if isinstance(z, PMV) else PMV(z)
     if z.support_len != s + 1:
         raise SupportMismatch(
@@ -584,12 +582,12 @@ def gof_test(x, z, rank_policy="analytic", support_lens=None) -> TestReport:
         sums, discarded = paired_sums(arrays)
         return _pearson_fallback(
             pearson_gof(sums, z, on_zero_expected="drop"),
-            " (zero covariance estimate)", discarded, kind, fixed_r,
+            " (zero covariance estimate)", discarded, label, fixed_r,
             warnings, m=m, total_offset=offset, discarded=discarded,
         )
 
     v_m = math.sqrt(m) * (conv - z.probs)
-    return _wald_report(v_m, psi_m, kind, fixed_r, [epmvs], s, warnings,
+    return _wald_report(v_m, psi_m, label, fixed_r, [epmvs], s, warnings,
                         m=m, total_offset=offset)
 
 
@@ -626,7 +624,7 @@ def ed_test(
     s_x = sum(e.pmv.r for e in x_epmvs)
     s_y = sum(e.pmv.r for e in y_epmvs)
     s = max(s_x, s_y)
-    kind, fixed_r = _parse_policy(rank_policy, s)
+    label, fixed_r = _parse_policy(rank_policy, s)
     warnings = []
     notes = []
     if x_canon or y_canon:
@@ -635,11 +633,9 @@ def ed_test(
             "observed minimum can exceed the true one"
         )
     if x_offset != y_offset:
-        dof = fixed_r if kind == "fixed" else max(1, s)
-        label = f"fixed({fixed_r})" if kind == "fixed" else kind
         return TestReport(
             statistic=math.inf,
-            dof=dof,
+            dof=max(1, s) if fixed_r is None else fixed_r,
             p_value=0.0,
             rank_policy=label,
             fallback_used=False,
@@ -675,18 +671,18 @@ def ed_test(
         y_sums, y_disc = paired_sums(y_arrays)
         return _pearson_fallback(
             pearson_ed(x_sums, y_sums), " on both sides", x_disc + y_disc,
-            kind, fixed_r, warnings, m=m, notes=notes,
+            label, fixed_r, warnings, m=m, notes=notes,
             total_offset=x_offset, padded=padded,
         )
 
     w_m = math.sqrt(m) * (conv_x - conv_y)
-    if kind == "analytic" and padded:
+    if label == "analytic" and padded:
         warnings.append(
             "analytic rank is unavailable for padded supports; using the "
             "numeric policy"
         )
-        kind = "numeric"
-    return _wald_report(w_m, total, kind, fixed_r, [x_epmvs, y_epmvs], s,
+        label = "numeric"
+    return _wald_report(w_m, total, label, fixed_r, [x_epmvs, y_epmvs], s,
                         warnings, m=m, notes=notes, total_offset=x_offset,
                         padded=padded)
 
@@ -715,14 +711,12 @@ def subind_test(paired, rank_policy=None, support_lens=None) -> TestReport:
         dof = max(1, s)
         label = "full"
     else:
-        kind, fixed_r = _parse_policy(rank_policy, s)
-        if kind != "fixed":
+        label, dof = _parse_policy(rank_policy, s)
+        if dof is None:
             raise InputError(
                 "subind_test accepts only the default full-rank policy or "
                 "fixed:N"
             )
-        dof = fixed_r
-        label = f"fixed({fixed_r})"
 
     if not ups.any():
         warnings.append(

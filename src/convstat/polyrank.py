@@ -18,9 +18,10 @@ leave-one-out PGFs (``_sides_gcd``, one SVD of the covariance's own
 stacked factor with the size-derived cut ``max(shape) * eps``), the
 numeric eigenvalue count (``_numeric_rank``) and the rank formulas.  The
 public ``gcd_degree`` / ``gcd_many`` take a relative cut, ``GCD_TOL`` by
-default; ``RANK_TOL`` is the eigenvalue cut.  The tests' rank policies and
-the oracle statistics in :mod:`convstat.hyptest` decide through these,
-not through copies.
+default; ``RANK_TOL`` is the eigenvalue cut.  Every one of these cuts,
+and the trim of trailing coefficients, is ``symlin._above_cut`` at its
+own tolerance.  The tests' rank policies and the oracle statistics in
+:mod:`convstat.hyptest` decide through these, not through copies.
 """
 
 from dataclasses import dataclass
@@ -49,6 +50,8 @@ GCD_TOL = 1e-9
 # Relative eigenvalue threshold for numeric rank decisions.
 RANK_TOL = 1e-10
 
+# Trailing coefficients at or below 1e-14 of the largest (some tens of
+# eps) are roundoff, not a real top coefficient, and are dropped.
 _TRIM_TOL = 1e-14
 
 
@@ -81,7 +84,8 @@ class RankReport:
     ``analytic_rank`` is ``s - deg gcd`` and is only present when every
     input PMV is interior; otherwise ``lower_bound`` (the same value minus
     the zero-entry counts, floored at 0) is the best available statement.
-    ``numeric_rank`` counts eigenvalues above ``RANK_TOL * lambda_max``.
+    ``numeric_rank`` counts eigenvalues with ``|lambda|`` above
+    ``RANK_TOL * max|lambda|`` (``symlin._above_cut``).
     """
 
     s: int
@@ -96,16 +100,16 @@ class RankReport:
 def _trim(vec) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
     if vec.ndim != 1:
-        raise ZeroInput("coefficient vectors must be 1-D")
-    scale = np.max(np.abs(vec)) if vec.size else 0.0
-    if scale == 0.0:
+        raise DimensionMismatch("coefficient vectors must be 1-D")
+    keep = np.nonzero(symlin._above_cut(vec, _TRIM_TOL))[0]
+    if not keep.size:
         raise ZeroInput("zero polynomial")
-    keep = np.abs(vec) > _TRIM_TOL * scale
-    last = int(np.max(np.nonzero(keep)[0]))
-    return vec[: last + 1]
+    return vec[: keep[-1] + 1]
 
 
 def _normalize(g: np.ndarray):
+    # A sum below 1e-8 of the peak has lost half the digits to
+    # cancellation, so the sum-1 scaling would amplify roundoff.
     peak = float(g[np.argmax(np.abs(g))])
     total = float(g.sum())
     unstable = abs(total) < 1e-8 * abs(peak)
@@ -131,7 +135,7 @@ def _sylvester_gcd(polys, n: int, tol) -> GcdResult:
     sv = np.linalg.svd(stacked, compute_uv=False)
     if tol is None:
         tol = max(stacked.shape) * np.finfo(float).eps
-    rank = int(np.sum(sv > tol * sv[0]))
+    rank = int(np.sum(symlin._above_cut(sv, tol)))
     degree = n - rank
     residual = float(sv[rank - 1] / sv[0])
     if degree == 0:
@@ -203,14 +207,8 @@ def _sides_gcd(sides) -> GcdResult:
 
 
 def _numeric_rank(values) -> int:
-    """Count of descending eigenvalues above ``RANK_TOL * lambda_max``.
-
-    0 when ``lambda_max <= 0`` (a zero or empty spectrum).
-    """
-    lam_max = float(values[0]) if values.size else 0.0
-    if lam_max <= 0.0:
-        return 0
-    return int(np.sum(values > RANK_TOL * lam_max))
+    """Count of eigenvalues above ``RANK_TOL * max|lambda|`` in magnitude."""
+    return int(np.sum(symlin._above_cut(values, RANK_TOL)))
 
 
 def covariance_rank(x_pmvs, y_pmvs=None) -> RankReport:

@@ -6,7 +6,11 @@ Symmetric matrices are plain ``numpy.ndarray`` objects validated by
 ``eps * ||A||``; the covariance matrices here are singular by
 construction, so their zero eigenvalues come out as roundoff of either
 sign at that scale, and every rank or pseudo-inverse cut is taken
-relative to the largest eigenvalue.
+relative to the largest magnitude.  That cut, ``|x| > tol * max|x|``, is
+made in one place, :func:`_above_cut`; the pseudo-inverse here, the Wald
+forms and fixed-rank check in :mod:`convstat.hyptest`, and the
+eigenvalue, singular-value and trailing-coefficient cuts in
+:mod:`convstat.polyrank` all read it.
 """
 
 import math
@@ -37,6 +41,9 @@ __all__ = [
 # machine epsilon scale (1e-15).
 PINV_TOL = 1e-15
 
+# Asymmetry allowed relative to max(max|A|, 1): well above the eps-level
+# roundoff of a covariance assembled in floating point, far below any
+# real asymmetry of an input.
 _SYM_TOL = 1e-12
 
 
@@ -77,10 +84,22 @@ def ensure_symmetric(a, name: str = "matrix") -> np.ndarray:
     return 0.5 * (a + at)
 
 
+def _above_cut(values, tol) -> np.ndarray:
+    """Mask of ``|values| > tol * max|values|`` along the last axis.
+
+    Each row of a stack is cut against its own maximum; a zero (or empty)
+    spectrum keeps nothing.
+    """
+    mag = np.abs(values)
+    return mag > tol * mag.max(axis=-1, keepdims=True, initial=0.0)
+
+
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    mag = np.abs(vectors)
-    big = mag > 1e-12 * np.maximum(mag.max(axis=-2, keepdims=True), 1e-300)
-    first = big.argmax(axis=-2)[..., None, :]
+    # An entry counts as the column's first component when it exceeds
+    # 1e-12 of the column's largest: far above the eps-level roundoff of
+    # a component that is zero in exact arithmetic.
+    big = _above_cut(np.swapaxes(vectors, -1, -2), 1e-12)
+    first = big.argmax(axis=-1)[..., None, :]
     lead = np.take_along_axis(vectors, first, axis=-2)
     return vectors * np.where(lead < 0.0, -1.0, 1.0)
 
@@ -136,8 +155,7 @@ def pinv(a, tol: float = PINV_TOL) -> np.ndarray:
     gives a stack of pseudo-inverses.
     """
     dec = eigh(a)
-    absvals = np.abs(dec.values)
-    keep = absvals > tol * absvals.max(axis=-1, keepdims=True)
+    keep = _above_cut(dec.values, tol)
     inv = np.where(keep, 1.0 / np.where(keep, dec.values, 1.0), 0.0)
     return _from_spectrum(dec.vectors, inv)
 

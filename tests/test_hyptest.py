@@ -640,3 +640,42 @@ class TestPearsonShapes:
             pearson_ed(bad, [0, 1])
         with pytest.raises(InputError, match="1-D"):
             pearson_ed([0, 1], bad)
+
+
+class TestRankPolicyLabel:
+    """``lower`` and ``lower_bound`` report ``lower_bound`` on every path."""
+
+    Z = PMV([0.25, 0.5, 0.25])
+
+    @pytest.mark.parametrize("policy", ["lower", "lower_bound", " LOWER "])
+    def test_pearson_fallback(self, policy):
+        report = gof_test([[0, 0], [1, 1]], self.Z, rank_policy=policy,
+                          support_lens=[1, 1])
+        assert report.fallback_used
+        assert report.rank_policy == "lower_bound"
+
+    @pytest.mark.parametrize("policy", ["lower", "lower_bound"])
+    def test_offset_mismatch(self, policy):
+        x = canonicalize(SampleSet(variables=([0, 1, 1], [0, 1, 0])))
+        y = canonicalize(SampleSet(variables=([1, 2, 2], [0, 1, 0])))
+        report = ed_test(x, y, rank_policy=policy)
+        assert report.p_value == 0.0
+        assert report.rank_policy == "lower_bound"
+
+    def test_wald_path(self):
+        report = gof_test([[0, 1, 1, 0], [1, 0, 1, 1]], self.Z,
+                          rank_policy="lower")
+        assert not report.fallback_used
+        assert report.rank_policy == "lower_bound"
+
+    @pytest.mark.parametrize("policy, label", [
+        ("analytic", "analytic"), ("numeric", "numeric"),
+        ("fixed:2", "fixed(2)"), (1, "fixed(1)"),
+    ])
+    def test_other_labels_on_every_path(self, policy, label):
+        fallback = gof_test([[0, 0], [1, 1]], self.Z, rank_policy=policy,
+                            support_lens=[1, 1])
+        x = canonicalize(SampleSet(variables=([0, 1, 1], [0, 1, 0])))
+        y = canonicalize(SampleSet(variables=([1, 2, 2], [0, 1, 0])))
+        mismatch = ed_test(x, y, rank_policy=policy)
+        assert fallback.rank_policy == mismatch.rank_policy == label

@@ -253,3 +253,18 @@ class TestKernelIdentity:
                 proj_a = basis_a @ basis_a.T
                 proj_b = basis_b @ basis_b.T
                 assert np.max(np.abs(proj_a - proj_b)) < 1e-8
+
+
+class TestTrimShape:
+    """A coefficient vector that is not 1-D is a shape error."""
+
+    @pytest.mark.parametrize("bad", [[[1.0, 2.0]], 3.0])
+    def test_not_one_dimensional(self, bad):
+        with pytest.raises(DimensionMismatch, match="1-D"):
+            gcd_degree(bad, [1.0, 2.0])
+        with pytest.raises(DimensionMismatch, match="1-D"):
+            gcd_many([[1.0, 2.0], bad])
+
+    def test_empty_vector_is_the_zero_polynomial(self):
+        with pytest.raises(ZeroInput, match="zero polynomial"):
+            gcd_degree([], [1.0, 2.0])

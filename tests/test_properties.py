@@ -19,6 +19,7 @@ from convstat import (
     oracle_statistics,
     subind_test,
 )
+from convstat.polyrank import RANK_TOL, covariance_rank
 
 SETTINGS = settings(
     max_examples=150,
@@ -128,3 +129,43 @@ def test_oracle_statistics_properties(data):
         return
     check_report(gf, s)
     check_report(ed, s)
+
+
+@st.composite
+def planted_side(draw, k, r, kind):
+    """k PMVs of degree r: interior, sharing one linear factor, or with a
+    zero cell in the first (a point mass when r = 1)."""
+    if kind == "shared_root":
+        root = np.array(draw(st.lists(st.integers(1, 3), min_size=2,
+                                      max_size=2)))
+        weights = [np.convolve(root, draw(st.lists(
+            st.integers(1, 4), min_size=r, max_size=r))).astype(float)
+            for _ in range(k)]
+    else:
+        weights = [np.array(draw(st.lists(st.floats(1.0, 3.0), min_size=r + 1,
+                                          max_size=r + 1)))
+                   for _ in range(k)]
+        if kind == "zero_cells":
+            weights[0][1] = 0.0
+            if r == 1:
+                weights[0][0] = 1.0
+    return [PMV(w / w.sum()) for w in weights]
+
+
+@SETTINGS
+@given(st.data())
+def test_numeric_rank_is_the_signed_eigenvalue_count(data):
+    """On PSD assemblies the magnitude cut |lam| > RANK_TOL * max|lam|
+    counts exactly the eigenvalues lam > RANK_TOL * lam_max: roundoff-
+    negative eigenvalues stay far below the cut."""
+    k = data.draw(st.sampled_from([2, 3, 5]))
+    r = data.draw(st.sampled_from([1, 3, 6]))
+    kind = data.draw(st.sampled_from(["interior", "shared_root",
+                                      "zero_cells"]))
+    sides = [data.draw(planted_side(k, r, kind))]
+    if data.draw(st.booleans()):
+        sides.append(data.draw(planted_side(k, r, kind)))
+    report = covariance_rank(*sides)
+    lam = report.eigenvalues
+    signed = int(np.sum(lam > RANK_TOL * lam[0])) if lam[0] > 0.0 else 0
+    assert report.numeric_rank == signed

@@ -17,6 +17,7 @@ from convstat import (
     quad_form,
     rank_r_approx,
 )
+from convstat.symlin import _above_cut
 
 
 def random_psd(rng, d):
@@ -234,3 +235,29 @@ class TestChi2Sf:
             chi2_sf(1.0, 0)
         with pytest.raises(DomainError):
             chi2_sf(1.0, 1.5)
+
+
+class TestAboveCut:
+    """The one relative cut: ``|x| > tol * max|x|`` along the last axis."""
+
+    def test_zero_spectrum_keeps_nothing(self):
+        assert not _above_cut(np.zeros(4), 1e-10).any()
+        assert not _above_cut(np.zeros(4), 0.0).any()
+
+    def test_value_at_the_cut_is_dropped(self):
+        values = np.array([1.0, 1e-10, np.nextafter(1e-10, 1.0)])
+        assert _above_cut(values, 1e-10).tolist() == [True, False, True]
+
+    def test_negative_values_compare_by_magnitude(self):
+        values = np.array([2.0, -1.0, -1e-12, 1e-12])
+        assert _above_cut(values, 1e-10).tolist() == [True, True, False, False]
+        # a negative largest magnitude sets the scale
+        assert _above_cut(np.array([0.5, -4.0]), 0.2).tolist() == [False, True]
+
+    def test_stack_rows_use_their_own_scale(self):
+        values = np.array([[1.0, 1e-3, 1e-12],
+                           [1e-6, 1e-9, 1e-18],
+                           [0.0, 0.0, 0.0]])
+        assert _above_cut(values, 1e-10).tolist() == [
+            [True, True, False], [True, True, False], [False, False, False],
+        ]
