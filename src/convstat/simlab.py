@@ -21,10 +21,18 @@ stack, in chunks of constant size.  The simulation differs from
 
 Each variable of each replicate draws from its own counter-based (Philox)
 stream, keyed by (seed, replicate, variable), so parallel and serial runs
-produce bit-identical results.  One generator per block is re-keyed from
-stream to stream; the keys, and so the draws, are those of a fresh
+produce bit-identical results.  One generator is re-keyed from stream to
+stream; the keys, and so the draws, are those of a fresh
 ``Philox(key=(seed << 64) | (replicate << 2) | variable)``.  The key holds
-64 bits of seed, so a seed must lie in ``[0, 2**64)``.
+64 bits of seed and 62 bits of replicate, so a seed must lie in
+``[0, 2**64)`` and a replicate in ``[0, 2**62)``.
+
+Replicates are drawn a block at a time: each variable's uniforms go row by
+row into one preallocated ``(rows, n_i)`` buffer, and the block is counted
+with one comparison and one row-wise count per count column.  The three
+buffers together hold at most ``_DRAW_DOUBLES`` values, or one replicate
+when that is more, so memory does not grow with ``L``.
+``sample_scenario`` draws through the same path, one row.
 """
 
 import csv
@@ -61,6 +69,13 @@ ALL_STATISTICS = (
     "P_ED", "C1_ED", "C2_ED", "Z1_ED", "Z2_ED",
 )
 
+# A stream key holds ``(replicate << 2) | variable`` in 64 bits.
+_MAX_REPLICATES = 2 ** 62
+
+# The uniform buffers of one draw block hold this many doubles in all
+# (256 KB), or one replicate's draws when those are more.
+_DRAW_DOUBLES = 2 ** 15
+
 
 @dataclass(frozen=True)
 class SimScenario:
@@ -78,13 +93,22 @@ class SimScenario:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n1", "n2", "n3", "L", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("p", "q", "rho", "alpha"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not (0.0 < self.p < 1.0 and 0.0 < self.q < 1.0):
             raise InputError(f"p and q must lie in (0,1), got {self.p}, {self.q}")
         if not 0.0 <= self.rho <= 1.0:
             raise InputError(f"rho must lie in [0,1], got {self.rho}")
         for name in ("n1", "n2", "n3", "L"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise InputError(f"{name} must be >= 1")
+        if self.L > _MAX_REPLICATES:
+            raise InputError(
+                f"L must be at most 2**62, the replicates a key holds; "
+                f"got {self.L}"
+            )
         if self.n1 > self.n3 or self.n2 > self.n3:
             raise InputError(
                 "the benchmark convention requires n1, n2 <= n3"
@@ -94,7 +118,7 @@ class SimScenario:
         unknown = set(self.statistics) - set(ALL_STATISTICS)
         if unknown:
             raise InputError(f"unknown statistics: {sorted(unknown)}")
-        if not 0 <= int(self.seed) < 2 ** 64:
+        if not 0 <= self.seed < 2 ** 64:
             raise InputError(
                 f"seed must be an integer in [0, 2**64), got {self.seed}"
             )
@@ -145,24 +169,26 @@ class _KeyedStreams:
     The 128-bit key is ``[(replicate << 2) | variable, seed]``.  Philox is
     counter-based, so a stream depends only on its key and counter: one
     generator is re-keyed for each stream, with a zero counter and an empty
-    buffer, and draws exactly what a fresh ``Philox(key=...)`` would.
+    buffer, and draws exactly what a fresh ``Philox(key=...)`` would.  The
+    one state dict is reused; a re-key changes only its key.
     """
 
     def __init__(self, seed: int):
         self._seed = int(seed)
         self._bits = np.random.Philox(0)
         self._gen = np.random.Generator(self._bits)
-
-    def uniform(self, replicate: int, variable: int, n: int) -> np.ndarray:
-        self._bits.state = {
+        self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0),
-                      "key": ((int(replicate) << 2) | int(variable),
-                              self._seed)},
+            "state": {"counter": (0, 0, 0, 0), "key": (0, self._seed)},
             "buffer": (0, 0, 0, 0), "buffer_pos": 4,
             "has_uint32": 0, "uinteger": 0,
         }
-        return self._gen.random(n)
+
+    def uniform(self, replicate: int, variable: int, n=None, out=None):
+        """``n`` uniforms of the stream, or as many as fill ``out``."""
+        self._state["state"]["key"] = ((replicate << 2) | variable, self._seed)
+        self._bits.state = self._state
+        return self._gen.random(n, out=out)
 
 
 @functools.lru_cache(maxsize=128)
@@ -172,14 +198,40 @@ def _z_cuts(p: float, q: float, rho: float):
     return z[0], z[0] + z[1]
 
 
-def sample_scenario(scn: SimScenario, replicate: int):
-    """Draw one replicate's raw data, deterministic in (seed, replicate)."""
+def _uniform_blocks(scn: SimScenario, start: int, stop: int):
+    """Yield the uniforms of replicates ``start..stop-1`` a block at a time:
+    ``(u1, u2, u3)``, one row per replicate, of widths ``n1``, ``n2``, ``n3``.
+
+    Every block is a view of the same three buffers, so a block is only
+    valid until the next one is drawn.
+    """
+    sizes = (scn.n1, scn.n2, scn.n3)
+    rows = max(1, min(stop - start, _DRAW_DOUBLES // sum(sizes)))
+    buffers = [np.empty((rows, n)) for n in sizes]
     streams = _KeyedStreams(scn.seed)
-    x1 = (streams.uniform(replicate, 0, scn.n1) < scn.p).astype(np.int64)
-    x2 = (streams.uniform(replicate, 1, scn.n2) < scn.q).astype(np.int64)
+    for lo in range(start, stop, rows):
+        block = [buf[:stop - lo] for buf in buffers]
+        for replicate, row in enumerate(zip(*block), lo):
+            for variable, out in enumerate(row):
+                streams.uniform(replicate, variable, out=out)
+        yield block
+
+
+def sample_scenario(scn: SimScenario, replicate: int):
+    """Draw one replicate's raw data, deterministic in (seed, replicate).
+
+    ``replicate`` is an integer in ``[0, 2**62)``, the key's replicate field.
+    """
+    replicate = _integer("replicate", replicate)
+    if not 0 <= replicate < _MAX_REPLICATES:
+        raise InputError(
+            f"replicate must be an integer in [0, 2**62), got {replicate}"
+        )
+    (u1,), (u2,), (u3,) = next(_uniform_blocks(scn, replicate, replicate + 1))
     cut0, cut1 = _z_cuts(scn.p, scn.q, scn.rho)
-    u = streams.uniform(replicate, 2, scn.n3)
-    y = (u >= cut0).astype(np.int64) + (u >= cut1).astype(np.int64)
+    x1 = (u1 < scn.p).astype(np.int64)
+    x2 = (u2 < scn.q).astype(np.int64)
+    y = (u3 >= cut0).astype(np.int64) + (u3 >= cut1).astype(np.int64)
     return x1, x2, y
 
 
@@ -240,24 +292,25 @@ def _sample_counts(scn: SimScenario, m: int, start: int, stop: int):
     The counts come straight from the uniforms ``sample_scenario`` draws,
     so they equal the counts of its output.
     """
-    streams = _KeyedStreams(scn.seed)
     cut0, cut1 = _z_cuts(scn.p, scn.q, scn.rho)
-    rows = []
-    for rep in range(start, stop):
-        b1 = streams.uniform(rep, 0, scn.n1) < scn.p
-        b2 = streams.uniform(rep, 1, scn.n2) < scn.q
-        u = streams.uniform(rep, 2, scn.n3)
-        h1, h2 = b1[:m], b2[:m]
-        rows.append((np.count_nonzero(b1), np.count_nonzero(b2),
-                     np.count_nonzero(h1), np.count_nonzero(h2),
-                     np.count_nonzero(h1 & h2),
-                     np.count_nonzero(u >= cut0), np.count_nonzero(u >= cut1)))
-    counts = np.array(rows, dtype=np.int64)
-    head1, head2, both, y_ge1, y_ge2 = counts[:, 2:].T
+    # One row per count: ones in x1[m:] and x2[m:] (the heads are added
+    # below), ones in x1[:m] and x2[:m], both ones, y >= 1 and y >= 2.
+    counts = np.empty((7, stop - start), dtype=np.int64)
+    lo = 0
+    for u1, u2, u3 in _uniform_blocks(scn, start, stop):
+        b1, b2 = u1 < scn.p, u2 < scn.q
+        h1, h2 = b1[:, :m], b2[:, :m]
+        hi = lo + len(u1)
+        for col, flags in enumerate((b1[:, m:], b2[:, m:], h1, h2, h1 & h2,
+                                     u3 >= cut0, u3 >= cut1)):
+            flags.sum(axis=1, out=counts[col, lo:hi])  # trues per row
+        lo = hi
+    head1, head2, both, y_ge1, y_ge2 = counts[2:]
+    ones = (counts[:2] + counts[2:4]).T
     sum_counts = np.stack([m - head1 - head2 + both, head1 + head2 - 2 * both,
                            both], axis=-1)
     y_counts = np.stack([scn.n3 - y_ge1, y_ge1 - y_ge2, y_ge2], axis=-1)
-    return counts[:, :2], sum_counts, y_counts
+    return ones, sum_counts, y_counts
 
 
 def _block_statistics(ctx: _Context, start: int, stop: int) -> dict:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,12 +22,14 @@ from convstat import (
     sweep,
     z_rho,
 )
+from convstat import simlab
 from convstat.simlab import (
     SimScenario,
     _block_statistics,
     _Context,
     _KeyedStreams,
     _sample_counts,
+    _uniform_blocks,
     load_config,
     write_csv,
     write_json,
@@ -101,6 +104,20 @@ class TestSampling:
         _, _, y = sample_scenario(scn, 0)
         assert not np.any(y == 1)
 
+    @pytest.mark.parametrize("replicate", [-1, 2 ** 62, 2 ** 70, 3.7,
+                                           "3", None, True])
+    def test_replicate_must_fit_key(self, replicate):
+        with pytest.raises(InputError, match="replicate"):
+            sample_scenario(scenario(), replicate)
+
+    def test_replicate_range_ends(self):
+        scn = scenario(n1=4, n2=4, n3=6, seed=5)
+        last = 2 ** 62 - 1
+        x1, _, _ = sample_scenario(scn, last)
+        assert np.array_equal(x1, fresh_stream(5, last, 0, 4) < scn.p)
+        for a, b in zip(sample_scenario(scn, 3.0), sample_scenario(scn, 3)):
+            assert np.array_equal(a, b)
+
     def test_large_seed_supported(self):
         scn = scenario(seed=2 ** 63 + 11)
         a = sample_scenario(scn, 0)
@@ -153,6 +170,100 @@ class TestKeyedStreams:
             assert not y_counts[:, 1].any()
 
 
+def reference_counts(scn, m, start, stop):
+    """``_sample_counts``' three arrays, from ``sample_scenario`` output."""
+    ones, sums, ys = [], [], []
+    for rep in range(start, stop):
+        x1, x2, y = sample_scenario(scn, rep)
+        ones.append([x1.sum(), x2.sum()])
+        sums.append(np.bincount(x1[:m] + x2[:m], minlength=3))
+        ys.append(np.bincount(y, minlength=3))
+    return np.array(ones), np.array(sums), np.array(ys)
+
+
+class TestDrawBlocks:
+    def assert_counts_match(self, scn, start, stop):
+        m = min(scn.n1, scn.n2, scn.n3)
+        got = _sample_counts(scn, m, start, stop)
+        for a, b in zip(got, reference_counts(scn, m, start, stop)):
+            assert a.dtype == np.int64
+            assert np.array_equal(a, b)
+
+    def test_row_wider_than_the_buffer_bound(self):
+        # each variable alone exceeds the bound: every block is one row
+        n = simlab._DRAW_DOUBLES + 5
+        scn = scenario(n1=n - 7, n2=n, n3=n, L=3)
+        assert [len(u1) for u1, _, _ in _uniform_blocks(scn, 0, 3)] == [1] * 3
+        self.assert_counts_match(scn, 0, 3)
+
+    @pytest.mark.parametrize("rho", [0.3, 1.0])
+    @pytest.mark.parametrize("start, stop", [(0, 10), (5, 17), (4, 5)])
+    def test_small_blocks(self, monkeypatch, rho, start, stop):
+        # 20 doubles a replicate and a bound of 60: blocks of 3 rows, a
+        # partial last block, and starts that fall inside a block of the
+        # run that starts at replicate 0
+        monkeypatch.setattr(simlab, "_DRAW_DOUBLES", 60)
+        scn = scenario(p=0.4, q=0.6, rho=rho, n1=7, n2=4, n3=9, L=20)
+        sizes = [len(u1) for u1, _, _ in _uniform_blocks(scn, start, stop)]
+        assert sum(sizes) == stop - start and set(sizes[:-1]) <= {3}
+        self.assert_counts_match(scn, start, stop)
+        m = 4
+        whole = _sample_counts(scn, m, 0, scn.L)
+        for a, b in zip(_sample_counts(scn, m, start, stop), whole):
+            assert np.array_equal(a, b[start:stop])
+
+    def test_block_size_does_not_change_counts(self, monkeypatch):
+        scn = scenario(p=0.2, q=0.7, rho=0.5, n1=3, n2=6, n3=11, L=40)
+        default = _sample_counts(scn, 3, 0, scn.L)
+        for bound in (1, 20, 21, 100):
+            monkeypatch.setattr(simlab, "_DRAW_DOUBLES", bound)
+            for a, b in zip(_sample_counts(scn, 3, 0, scn.L), default):
+                assert np.array_equal(a, b)
+
+    def test_blocks_are_the_fresh_streams(self, monkeypatch):
+        monkeypatch.setattr(simlab, "_DRAW_DOUBLES", 50)
+        seed = 2 ** 64 - 1
+        scn = scenario(n1=5, n2=3, n3=8, L=9, seed=seed)
+        rep = 2
+        for block in _uniform_blocks(scn, 2, 9):
+            for rows in zip(*block):
+                for var, row in enumerate(rows):
+                    assert np.array_equal(
+                        row, fresh_stream(seed, rep, var, len(row)))
+                rep += 1
+        assert rep == 9
+
+    def test_out_draw_fills_a_buffer_row(self):
+        seed = 2 ** 63 + 11
+        streams = _KeyedStreams(seed)
+        buf = np.full((3, 7), -1.0)
+        for rep in (2, 0, 1):
+            out = streams.uniform(rep, 2, out=buf[rep])
+            assert np.shares_memory(out, buf)
+        for rep in range(3):
+            assert np.array_equal(buf[rep], fresh_stream(seed, rep, 2, 7))
+
+
+class TestDrawMemory:
+    @staticmethod
+    def peak_bytes(L):
+        n = 100_000
+        scn = scenario(n1=n, n2=n, n3=n, L=L)
+        tracemalloc.start()
+        try:
+            _sample_counts(scn, n, 0, L)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_L(self):
+        self.peak_bytes(1)  # first-call caches are not the draw's memory
+        short, long = self.peak_bytes(4), self.peak_bytes(40)
+        assert abs(long - short) <= 0.1 * short
+        # one row of 800 KB a variable and its flags, never an L x n array
+        assert long < 4e6
+
+
 class TestScenarioValidation:
     def test_size_convention(self):
         with pytest.raises(InputError):
@@ -165,6 +276,37 @@ class TestScenarioValidation:
     def test_alpha_range(self):
         with pytest.raises(InputError):
             scenario(alpha=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n1", 5.5), ("n3", "25"), ("L", True), ("L", 10.5),
+        ("seed", 1.5), ("seed", "3"), ("seed", None),
+    ])
+    def test_integer_fields_are_checked(self, field, value):
+        with pytest.raises(InputError, match=field):
+            scenario(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("p", "0.3"), ("q", None), ("rho", True), ("alpha", [0.05]),
+    ])
+    def test_real_fields_are_checked(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be a number"):
+            scenario(**{field: value})
+
+    def test_fields_are_stored_as_plain_numbers(self):
+        scn = scenario(n1=np.int64(5), n3=25.0, L=10.0, seed=np.uint64(3),
+                       p=np.float32(0.5), rho=1)
+        assert (scn.n1, scn.n3, scn.L, scn.seed) == (5, 25, 10, 3)
+        assert all(type(getattr(scn, f)) is int
+                   for f in ("n1", "n2", "n3", "L", "seed"))
+        assert all(type(getattr(scn, f)) is float
+                   for f in ("p", "q", "rho", "alpha"))
+        assert run_scenario(scn).L == 10
+
+    def test_L_fits_the_replicate_key(self):
+        # constructing is enough: a scenario this large is never run
+        assert scenario(L=2 ** 62).L == 2 ** 62
+        with pytest.raises(InputError, match="L"):
+            scenario(L=2 ** 62 + 1)
 
     def test_seed_must_fit_key(self):
         # the Philox key holds 64 bits of seed
@@ -327,6 +469,14 @@ class TestArtifacts:
         payload = json.loads(json_path.read_text())
         assert payload["axis"] == "rho"
         assert len(payload["results"]) == 2
+
+    def test_json_of_a_scenario_built_from_numpy_scalars(self, tmp_path):
+        # the fields are stored as plain numbers, so json can write them
+        scn = scenario(L=10, seed=np.int64(3), n1=np.int32(5),
+                       p=np.float64(0.3), statistics=("P_GF",))
+        path = tmp_path / "out.json"
+        write_json(sweep(scn, "rho", [0.0]), path, scn, "rho")
+        assert '"seed": 3' in path.read_text()
 
     def test_config_round_trip(self, tmp_path):
         import json
