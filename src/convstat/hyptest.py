@@ -13,6 +13,7 @@ equality in distribution (mismatch rejects deterministically).
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,10 +32,10 @@ from .errors import (
     ZeroExpected,
 )
 from .pmv import (
-    PMV, _integer, _integer_values, _require_finite, convolve_all,
+    PMV, _integer, _integer_values, _real, _require_finite, convolve_all,
     empirical_pmv,
 )
-from .polyrank import _numeric_rank, _sides_gcd, covariance_rank
+from .polyrank import _numeric_rank, _rank_formula
 
 __all__ = [
     "SampleSet",
@@ -64,7 +65,11 @@ class SampleSet:
     ``variables`` holds one 1-D array of lattice values per variable,
     ``coeffs`` the integer multipliers ``a_i`` (default all 1; fractions
     are refused, not truncated), ``offset`` the constant ``a_0`` (a
-    lattice point), and ``zeta`` the lattice unit (finite and nonzero).
+    lattice point), ``zeta`` the lattice unit (finite and nonzero) and
+    ``names`` one label per variable (default ``X1, X2, ...``).  ``offset``
+    and ``zeta`` are stored as floats; a value that is not a real number
+    raises ``InputError`` and a ``names`` of the wrong length
+    ``DimensionMismatch``.
     """
 
     variables: tuple
@@ -92,16 +97,25 @@ class SampleSet:
             )
         if any(c == 0 for c in coeffs):
             raise InputError("coefficients a_i must be nonzero integers")
-        if self.zeta == 0 or not math.isfinite(self.zeta):
+        zeta = _real("lattice unit zeta", self.zeta)
+        if zeta == 0 or not math.isfinite(zeta):
             raise InputError(
                 f"lattice unit zeta must be finite and nonzero, got {self.zeta}"
             )
+        offset = _real("offset a_0", self.offset)
         names = self.names
         if names is None:
             names = tuple(f"X{i + 1}" for i in range(len(arrays)))
+        names = tuple(str(n) for n in names)
+        if len(names) != len(arrays):
+            raise DimensionMismatch(
+                f"{len(arrays)} variables but {len(names)} names"
+            )
         object.__setattr__(self, "variables", arrays)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "names", tuple(str(n) for n in names))
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "names", names)
 
 
 @dataclass(frozen=True)
@@ -122,10 +136,11 @@ class CanonicalSamples:
 class TestReport:
     """Outcome of one test: statistic, dof, p-value and diagnostics.
 
-    ``p_value == chi2_sf(statistic, dof)`` except under deterministic
-    rejection (offset mismatch), where the p-value is 0 with a warning.
-    ``diagnostics`` is a JSON-serializable dict (eigenvalue spectrum,
-    offsets, warnings, fallback details).
+    ``p_value == chi2_sf(statistic, dof)`` on every path, since ``_report``
+    builds every report: a deterministic rejection (offset mismatch,
+    observations outside the hypothesized support) has an infinite
+    statistic and so p-value 0.  ``diagnostics`` is a JSON-serializable
+    dict (eigenvalue spectrum, offsets, warnings, fallback details).
     """
 
     __test__ = False  # not a pytest class despite the name
@@ -157,6 +172,18 @@ class TestReport:
             fallback_used=bool(d["fallback_used"]),
             diagnostics=dict(d["diagnostics"]),
         )
+
+
+def _report(statistic, dof, label, diagnostics, fallback_used=False):
+    """The one place a report is built: its p-value is ``chi2_sf``."""
+    return TestReport(
+        statistic=statistic,
+        dof=dof,
+        p_value=symlin.chi2_sf(statistic, dof),
+        rank_policy=label,
+        fallback_used=fallback_used,
+        diagnostics=diagnostics,
+    )
 
 
 def _to_lattice_ints(values, zeta, what):
@@ -250,7 +277,7 @@ def _parse_policy(policy, s):
     ``fixed:N`` (or a plain int N) needs ``1 <= N <= max(1, s)`` on every
     path; a fixed rank above the estimate's own rank is not an error.
     """
-    if isinstance(policy, int) and not isinstance(policy, bool):
+    if isinstance(policy, numbers.Integral) and not isinstance(policy, bool):
         policy = f"fixed:{policy}"
     text = str(policy).strip().lower()
     if text in ("analytic", "numeric"):
@@ -311,37 +338,14 @@ def _psd_wald(vec, dec: symlin.EigenDecomp, r: int):
     return stat if stat.ndim else float(stat)
 
 
-def _gcd_dof(kind, epmvs_sides, s, warnings, diagnostics):
-    """dof = s - deg gcd - zeros of the leave-one-out convolutions.
-
-    ``zeros`` is the empirical PMVs' zero-entry count under the
-    ``lower_bound`` policy and 0 under ``analytic``; a result below 1 is
-    clamped to 1.
-    """
-    g = _sides_gcd([[e.pmv.probs for e in side] for side in epmvs_sides])
-    diagnostics["gcd_degree"] = g.degree
-    if kind == "analytic":
-        diagnostics["gcd_residual"] = g.residual
-        zeros = 0
-    else:
-        zeros = sum(len(e.pmv.zero_indices) for side in epmvs_sides for e in side)
-        diagnostics["zero_entry_count"] = zeros
-    dof = s - g.degree - zeros
-    if dof < 1:
-        warnings.append(
-            "analytic rank fell below 1; clamped to 1" if kind == "analytic"
-            else f"rank lower bound {dof} is below 1; clamped to 1 "
-            "(test is conservative)"
-        )
-        dof = 1
-    return dof
-
-
-def _resolve_dof(label, fixed_r, epmvs_sides, s, dec, warnings, diagnostics):
+def _resolve_dof(label, fixed_r, epmvs_sides, dec, warnings, diagnostics):
     """Degrees of freedom under the requested rank policy.
 
-    Returns ``(dof, label)``; the analytic policy silently degrades to the
-    lower-bound path (with a warning) when an empirical PMV has zero cells.
+    Returns ``(dof, label)``.  The analytic policy reads ``s - deg g`` and
+    the lower-bound policy ``s - deg g - zeros`` from
+    ``polyrank._rank_formula``; either is clamped to 1 with a warning.
+    The analytic policy silently degrades to the lower-bound path (with a
+    warning) when an empirical PMV has zero cells.
     """
     if fixed_r is not None:
         strict = int(np.sum(symlin._above_cut(dec.values, symlin.PINV_TOL)))
@@ -353,15 +357,27 @@ def _resolve_dof(label, fixed_r, epmvs_sides, s, dec, warnings, diagnostics):
         return fixed_r, label
     if label == "numeric":
         return max(1, _numeric_rank(dec.values)), label
-    if label == "analytic":
-        if all(e.pmv.interior for side in epmvs_sides for e in side):
-            return _gcd_dof(label, epmvs_sides, s, warnings, diagnostics), label
+    formula = _rank_formula([[e.pmv for e in side] for side in epmvs_sides])
+    diagnostics["gcd_degree"] = formula.gcd.degree
+    if label == "analytic" and formula.analytic is None:
         warnings.append(
             "empirical PMVs have zero cells; analytic rank unavailable, "
             "using the lower-bound policy"
         )
         label = "lower_bound"
-    return _gcd_dof(label, epmvs_sides, s, warnings, diagnostics), label
+    if label == "analytic":
+        diagnostics["gcd_residual"] = formula.gcd.residual
+        dof = formula.analytic
+    else:
+        diagnostics["zero_entry_count"] = formula.zeros
+        dof = formula.lower
+    if dof < 1:
+        warnings.append(
+            "analytic rank fell below 1; clamped to 1" if label == "analytic"
+            else f"rank lower bound {dof} is below 1; clamped to 1 "
+            "(test is conservative)"
+        )
+    return max(1, dof), label
 
 
 def _pearson_gof_stat(counts, probs):
@@ -400,7 +416,13 @@ def pearson_gof(sums, z, on_zero_expected: str = "error") -> TestReport:
     before calling), ``"drop"`` excludes those cells from the statistic.
     The dof stays at the declared support size minus 1 either way.
     Observed values beyond the support of ``z`` reject deterministically.
+    Any other mode raises ``InputError``.
     """
+    if on_zero_expected not in ("error", "drop"):
+        raise InputError(
+            f"on_zero_expected must be 'error' or 'drop', got "
+            f"{on_zero_expected!r}"
+        )
     values = np.asarray(sums)
     if values.size == 0:
         raise EmptySample("pearson_gof needs at least one observation")
@@ -414,18 +436,11 @@ def pearson_gof(sums, z, on_zero_expected: str = "error") -> TestReport:
     dof = max(1, z.support_len - 1)
     warnings = []
     if counts.size > z.support_len:
-        return TestReport(
-            statistic=math.inf,
-            dof=dof,
-            p_value=0.0,
-            rank_policy="pearson",
-            fallback_used=False,
-            diagnostics={
-                "warnings": ["observations outside the hypothesized support; "
-                             "deterministic rejection"],
-                "counts": counts.tolist(),
-            },
-        )
+        return _report(math.inf, dof, "pearson", {
+            "warnings": ["observations outside the hypothesized support; "
+                         "deterministic rejection"],
+            "counts": counts.tolist(),
+        })
     if not np.all(positive):
         if on_zero_expected == "error":
             raise ZeroExpected(
@@ -439,15 +454,9 @@ def pearson_gof(sums, z, on_zero_expected: str = "error") -> TestReport:
                 "were excluded from the statistic"
             )
     statistic = float(_pearson_gof_stat(counts, z.probs))
-    return TestReport(
-        statistic=statistic,
-        dof=dof,
-        p_value=symlin.chi2_sf(statistic, dof),
-        rank_policy="pearson",
-        fallback_used=False,
-        diagnostics={"warnings": warnings, "counts": counts.tolist(),
-                     "m": int(m)},
-    )
+    return _report(statistic, dof, "pearson",
+                   {"warnings": warnings, "counts": counts.tolist(),
+                    "m": int(m)})
 
 
 def pearson_ed(x_sums, y_sums) -> TestReport:
@@ -475,19 +484,38 @@ def pearson_ed(x_sums, y_sums) -> TestReport:
             f"{empty} empty pooled cells merged from the support ends inward"
         )
     statistic, dof = _pearson_ed_stat(cx, cy)
-    statistic, dof = float(statistic), int(dof)
-    return TestReport(
-        statistic=statistic,
-        dof=dof,
-        p_value=symlin.chi2_sf(statistic, dof),
-        rank_policy="pearson",
-        fallback_used=False,
-        diagnostics={
-            "warnings": warnings,
-            "x_counts": cx.tolist(),
-            "y_counts": cy.tolist(),
-        },
-    )
+    return _report(float(statistic), int(dof), "pearson", {
+        "warnings": warnings,
+        "x_counts": cx.tolist(),
+        "y_counts": cy.tolist(),
+    })
+
+
+def _pad(a: np.ndarray, size: int) -> np.ndarray:
+    """Zero-pad a vector or a square matrix to ``size`` along every axis."""
+    if a.shape[0] == size:
+        return a
+    out = np.zeros((size,) * a.ndim)
+    out[tuple(slice(0, n) for n in a.shape)] = a
+    return out
+
+
+def _estimate(sides, size):
+    """``(m, convolutions, covariance)`` of sides of empirical PMVs.
+
+    ``m`` is the smallest sample size and sets the weights ``m / n_i``;
+    each side's convolution and the sum of the sides' weighted covariance
+    estimates are zero-padded to ``size`` cells.
+    """
+    sizes = [e.n for side in sides for e in side]
+    weights = iter(covest.weights_from_sizes(sizes))
+    convs, cov = [], 0.0
+    for side in sides:
+        convs.append(_pad(convolve_all([e.pmv for e in side]).probs, size))
+        side_weights = [next(weights) for _ in side]
+        cov = cov + _pad(covest._weighted_cov(
+            [e.pmv.probs for e in side], side_weights), size)
+    return min(sizes), convs, cov
 
 
 def _base_diagnostics(dec=None, m=None, warnings=None, **extra) -> dict:
@@ -515,34 +543,20 @@ def _pearson_fallback(base, why, n_discarded, label, fixed_r, warnings,
             f"Pearson pairing discarded {n_discarded} observations"
         )
     warnings.extend(base.diagnostics.get("warnings", []))
-    dof = base.dof if fixed_r is None else fixed_r
-    return TestReport(
-        statistic=base.statistic,
-        dof=dof,
-        p_value=symlin.chi2_sf(base.statistic, dof),
-        rank_policy=label,
-        fallback_used=True,
-        diagnostics=_base_diagnostics(warnings=warnings, **extra),
-    )
+    return _report(base.statistic, base.dof if fixed_r is None else fixed_r,
+                   label, _base_diagnostics(warnings=warnings, **extra),
+                   fallback_used=True)
 
 
-def _wald_report(vec, cov, label, fixed_r, epmvs_sides, s, warnings, m,
+def _wald_report(vec, cov, label, fixed_r, epmvs_sides, warnings, m,
                  **extra):
     """Report of the Wald form of ``vec`` in the PSD estimate ``cov``."""
     dec = symlin.eigh(cov)
     diagnostics = _base_diagnostics(dec=dec, m=m, warnings=warnings, **extra)
     dof, label = _resolve_dof(
-        label, fixed_r, epmvs_sides, s, dec, warnings, diagnostics
+        label, fixed_r, epmvs_sides, dec, warnings, diagnostics
     )
-    statistic = _psd_wald(vec, dec, dof)
-    return TestReport(
-        statistic=statistic,
-        dof=dof,
-        p_value=symlin.chi2_sf(statistic, dof),
-        rank_policy=label,
-        fallback_used=False,
-        diagnostics=diagnostics,
-    )
+    return _report(_psd_wald(vec, dec, dof), dof, label, diagnostics)
 
 
 def gof_test(x, z, rank_policy="analytic", support_lens=None) -> TestReport:
@@ -567,15 +581,11 @@ def gof_test(x, z, rank_policy="analytic", support_lens=None) -> TestReport:
             f"z has {z.support_len} cells but the combined support has "
             f"{s + 1}"
         )
-    conv = convolve_all([e.pmv for e in epmvs]).probs
+    m, (conv,), psi_m = _estimate([epmvs], s + 1)
     if np.any((z.probs == 0.0) & (conv > 0.0)):
         raise ZeroExpected(
             "z has zero cells where the observed convolution has mass"
         )
-    sizes = [e.n for e in epmvs]
-    m = min(sizes)
-    weights = covest.weights_from_sizes(sizes)
-    psi_m = covest._weighted_cov([e.pmv.probs for e in epmvs], weights)
     warnings = []
 
     if not psi_m.any():
@@ -587,17 +597,8 @@ def gof_test(x, z, rank_policy="analytic", support_lens=None) -> TestReport:
         )
 
     v_m = math.sqrt(m) * (conv - z.probs)
-    return _wald_report(v_m, psi_m, label, fixed_r, [epmvs], s, warnings,
+    return _wald_report(v_m, psi_m, label, fixed_r, [epmvs], warnings,
                         m=m, total_offset=offset)
-
-
-def _pad(a: np.ndarray, size: int) -> np.ndarray:
-    """Zero-pad a vector or a square matrix to ``size`` along every axis."""
-    if a.shape[0] == size:
-        return a
-    out = np.zeros((size,) * a.ndim)
-    out[tuple(slice(0, n) for n in a.shape)] = a
-    return out
 
 
 def ed_test(
@@ -633,22 +634,11 @@ def ed_test(
             "observed minimum can exceed the true one"
         )
     if x_offset != y_offset:
-        return TestReport(
-            statistic=math.inf,
-            dof=max(1, s) if fixed_r is None else fixed_r,
-            p_value=0.0,
-            rank_policy=label,
-            fallback_used=False,
-            diagnostics={
-                "warnings": [
-                    f"total offsets differ ({x_offset} vs {y_offset}); the "
-                    "null hypothesis is impossible"
-                ],
-                "notes": notes,
-                "x_offset": x_offset,
-                "y_offset": y_offset,
-            },
-        )
+        warning = (f"total offsets differ ({x_offset} vs {y_offset}); the "
+                   "null hypothesis is impossible")
+        return _report(math.inf, max(1, s) if fixed_r is None else fixed_r,
+                       label, {"warnings": [warning], "notes": notes,
+                               "x_offset": x_offset, "y_offset": y_offset})
 
     padded = s_x != s_y
     if padded:
@@ -656,15 +646,7 @@ def ed_test(
             f"support degrees differ ({s_x} vs {s_y}); shorter side zero-"
             "padded"
         )
-    sizes = [e.n for e in x_epmvs] + [e.n for e in y_epmvs]
-    m = min(sizes)
-    weights = covest.weights_from_sizes(sizes)
-    w_x, w_y = weights[: len(x_epmvs)], weights[len(x_epmvs):]
-    conv_x = _pad(convolve_all([e.pmv for e in x_epmvs]).probs, s + 1)
-    conv_y = _pad(convolve_all([e.pmv for e in y_epmvs]).probs, s + 1)
-    psi_m = covest._weighted_cov([e.pmv.probs for e in x_epmvs], w_x)
-    xi_m = covest._weighted_cov([e.pmv.probs for e in y_epmvs], w_y)
-    total = _pad(psi_m, s + 1) + _pad(xi_m, s + 1)
+    m, (conv_x, conv_y), total = _estimate([x_epmvs, y_epmvs], s + 1)
 
     if not total.any():
         x_sums, x_disc = paired_sums(x_arrays)
@@ -682,7 +664,7 @@ def ed_test(
             "numeric policy"
         )
         label = "numeric"
-    return _wald_report(w_m, total, label, fixed_r, [x_epmvs, y_epmvs], s,
+    return _wald_report(w_m, total, label, fixed_r, [x_epmvs, y_epmvs],
                         warnings, m=m, notes=notes, total_offset=x_offset,
                         padded=padded)
 
@@ -723,14 +705,9 @@ def subind_test(paired, rank_policy=None, support_lens=None) -> TestReport:
             "covariance estimate is identically zero (degenerate paired "
             "data); no evidence against the null"
         )
-        return TestReport(
-            statistic=0.0,
-            dof=dof,
-            p_value=1.0,
-            rank_policy=label,
-            fallback_used=True,
-            diagnostics=_base_diagnostics(m=m, warnings=warnings),
-        )
+        return _report(0.0, dof, label,
+                       _base_diagnostics(m=m, warnings=warnings),
+                       fallback_used=True)
 
     s_m = math.sqrt(m) * (conv - z_hat.pmv.probs)
     dec = symlin.eigh(ups)
@@ -741,14 +718,8 @@ def subind_test(paired, rank_policy=None, support_lens=None) -> TestReport:
             "form; clamped to 0"
         )
         statistic = 0.0
-    return TestReport(
-        statistic=statistic,
-        dof=dof,
-        p_value=symlin.chi2_sf(statistic, dof),
-        rank_policy=label,
-        fallback_used=False,
-        diagnostics=_base_diagnostics(dec=dec, m=m, warnings=warnings),
-    )
+    return _report(statistic, dof, label,
+                   _base_diagnostics(dec=dec, m=m, warnings=warnings))
 
 
 def oracle_statistics(
@@ -766,8 +737,12 @@ def oracle_statistics(
     distributions, so no covariance estimation takes place and the full
     Moore-Penrose pseudo-inverse of the true matrix is applied.  Returns a
     ``(gof_report, ed_report)`` pair; the second is None without a y side.
-    Default dof is the analytic rank of the true covariance.
+    Default dof is the analytic rank of the true covariance, or its numeric
+    rank when a true PMV has zero cells; ``dof_gf`` / ``dof_ed`` must be
+    integers.
     """
+    dof_gf = None if dof_gf is None else _integer("dof_gf", dof_gf)
+    dof_ed = None if dof_ed is None else _integer("dof_ed", dof_ed)
     x_pmvs = [p if isinstance(p, PMV) else PMV(p) for p in x_pmvs]
     x_arrays, _, _, _ = _coerce_samples(x, [p.r for p in x_pmvs])
     x_epmvs = [empirical_pmv(v, p.r) for v, p in zip(x_arrays, x_pmvs)]
@@ -787,19 +762,13 @@ def oracle_statistics(
 
     def report(vec, cov, dof, *pmv_sides):
         """Oracle report; dof defaults to the analytic, else numeric, rank."""
+        dec = symlin.eigh(cov)
         if dof is None:
-            rank = covariance_rank(*pmv_sides)
-            dof = (rank.numeric_rank if rank.analytic_rank is None
-                   else rank.analytic_rank)
-        stat = _psd_wald(vec, symlin.eigh(cov), cov.shape[0])
-        return TestReport(
-            statistic=stat,
-            dof=int(dof),
-            p_value=symlin.chi2_sf(stat, int(dof)),
-            rank_policy="oracle",
-            fallback_used=False,
-            diagnostics={"warnings": [], "m": int(m)},
-        )
+            dof = _rank_formula(pmv_sides).analytic
+        if dof is None:
+            dof = _numeric_rank(dec.values)
+        return _report(_psd_wald(vec, dec, cov.shape[0]), dof, "oracle",
+                       {"warnings": [], "m": int(m)})
 
     psi_true = covest.psi(x_pmvs, weights[: len(x_epmvs)])
     z = convolve_all(x_pmvs) if z is None else (z if isinstance(z, PMV) else PMV(z))

@@ -184,6 +184,14 @@ def _integer(what: str, value) -> int:
     return int(value)
 
 
+def _real(what: str, value) -> float:
+    """A scalar that must be a real number (not a bool); ``InputError``
+    otherwise, so a string such as ``"0.5"`` does not leak a ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _convolve(a, b) -> np.ndarray:
     """Full discrete convolution along the last axis; leading axes broadcast.
 

@@ -16,16 +16,18 @@ vector of the Hankel windows of its null space (``_sylvester_gcd``).
 This module is the one owner of every rank decision: the gcd of the
 leave-one-out PGFs (``_sides_gcd``, one SVD of the covariance's own
 stacked factor with the size-derived cut ``max(shape) * eps``), the
-numeric eigenvalue count (``_numeric_rank``) and the rank formulas.  The
-public ``gcd_degree`` / ``gcd_many`` take a relative cut, ``GCD_TOL`` by
+numeric eigenvalue count (``_numeric_rank``) and the rank formulas
+``s - deg g`` and ``s - deg g - zeros`` (``_rank_formula``).  The public
+``gcd_degree`` / ``gcd_many`` take a relative cut, ``GCD_TOL`` by
 default; ``RANK_TOL`` is the eigenvalue cut.  Every one of these cuts,
 and the trim of trailing coefficients, is ``symlin._above_cut`` at its
-own tolerance.  The tests' rank policies and the oracle statistics in
-:mod:`convstat.hyptest` decide through these, not through copies.
+own tolerance.  ``covariance_rank``, the tests' rank policies and the
+oracle statistics in :mod:`convstat.hyptest` all read ``_rank_formula``
+and ``_numeric_rank``; none keeps a copy.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -211,43 +213,68 @@ def _numeric_rank(values) -> int:
     return int(np.sum(symlin._above_cut(values, RANK_TOL)))
 
 
+class _RankFormula(NamedTuple):
+    """The rank formulas of one family of PMV sides (``_rank_formula``)."""
+
+    s: int
+    gcd: GcdResult
+    analytic: Optional[int]
+    lower: int
+    zeros: int
+    zero_sets: tuple
+
+
+def _rank_formula(sides) -> _RankFormula:
+    """``s - deg g`` and ``s - deg g - zeros`` of sides of PMVs.
+
+    ``s`` is the largest side's total support degree and ``g`` the gcd of
+    every side's leave-one-out PGFs (``_sides_gcd``).  ``analytic`` is
+    ``s - deg g`` when every PMV is interior and None otherwise;
+    ``lower`` also subtracts ``zeros``, the count of zero PMV entries, and
+    is not floored.  ``zero_sets`` holds each PMV's zero indices; they are
+    looked up only when some PMV is not interior.
+    """
+    pmvs = [p for side in sides for p in side]
+    s = max(sum(p.r for p in side) for side in sides)
+    gcd = _sides_gcd([[p.probs for p in side] for side in sides])
+    rank = s - gcd.degree
+    if all(p.interior for p in pmvs):
+        return _RankFormula(s, gcd, rank, rank, 0, ((),) * len(pmvs))
+    zero_sets = tuple(p.zero_indices for p in pmvs)
+    zeros = sum(len(z) for z in zero_sets)
+    return _RankFormula(s, gcd, None, rank - zeros, zeros, zero_sets)
+
+
 def covariance_rank(x_pmvs, y_pmvs=None) -> RankReport:
     """Rank analysis of the limiting covariance of the convolution statistic.
 
     With only ``x_pmvs`` the matrix analyzed is the goodness-of-fit
     covariance; with ``y_pmvs`` it is the two-sample sum, whose gcd is the
     gcd of the two per-side gcds.  Both sides must then have equal total
-    support degree (pad caller-side otherwise).
+    support degree (pad caller-side otherwise).  PMVs may be given as
+    ``PMV``, ``EmpiricalPMV`` or plain probability vectors.
     """
-    sides = [list(x_pmvs)]
+    sides = [covest._as_pmvs(x_pmvs)]
     if not sides[0]:
         raise NeedTwoVariables("covariance_rank requires at least one PMV")
-    s = sum(p.r for p in sides[0])
     if y_pmvs is not None:
-        sides.append(list(y_pmvs))
+        sides.append(covest._as_pmvs(y_pmvs))
         if not sides[1]:
             raise NeedTwoVariables("y side must contain at least one PMV")
-        s_y = sum(p.r for p in sides[1])
-        if s_y != s:
+        s_x, s_y = (sum(p.r for p in side) for side in sides)
+        if s_y != s_x:
             raise DimensionMismatch(
-                f"total support degree differs between sides: {s} vs {s_y}"
+                f"total support degree differs between sides: {s_x} vs {s_y}"
             )
-    probs = [[p.probs for p in side] for side in sides]
-    gcd = _sides_gcd(probs)
-    pmvs = [p for side in sides for p in side]
-    zero_sets = tuple(p.zero_indices for p in pmvs)
-    analytic = s - gcd.degree if all(p.interior for p in pmvs) else None
-    lower = max(0, s - gcd.degree - sum(len(z) for z in zero_sets))
-    matrix = covest._weighted_cov(probs[0])
-    for side in probs[1:]:
-        matrix = matrix + covest._weighted_cov(side)
-    dec = symlin.eigh(matrix)
+    formula = _rank_formula(sides)
+    dec = symlin.eigh(sum(covest._weighted_cov([p.probs for p in side])
+                          for side in sides))
     return RankReport(
-        s=s,
-        analytic_rank=analytic,
-        lower_bound=lower,
+        s=formula.s,
+        analytic_rank=formula.analytic,
+        lower_bound=max(0, formula.lower),
         numeric_rank=_numeric_rank(dec.values),
-        zero_index_sets=zero_sets,
-        gcd=gcd,
+        zero_index_sets=formula.zero_sets,
+        gcd=formula.gcd,
         eigenvalues=dec.values,
     )

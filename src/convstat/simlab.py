@@ -40,14 +40,13 @@ import dataclasses
 import functools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import covest, hyptest, symlin
 from .errors import InputError, ModelDegenerate
-from .pmv import PMV, _convolve, _integer
+from .pmv import PMV, _convolve, _integer, _real
 
 __all__ = [
     "ALL_STATISTICS",
@@ -412,12 +411,6 @@ def rejection_proportion(scn: SimScenario, statistic_id: str,
 _AXES = ("rho", "m", "p")
 
 
-def _real(what: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InputError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
 def _with_axis_value(scn: SimScenario, axis: str, value) -> SimScenario:
     what = f"sweep value on axis {axis}"
     if axis == "rho":
@@ -505,7 +498,9 @@ def load_config(path):
 
     Required keys: p, q, rho, n1, n2, n3, L, seed.  Optional: alpha,
     statistics, sweep = {"axis": ..., "values": [...]}.  Without a sweep
-    the run is a single point on the rho axis.
+    the run is a single point on the rho axis.  :class:`SimScenario`
+    checks every field; its ``InputError`` comes back with the config path
+    in front.
     """
     with open(path) as fh:
         try:
@@ -518,10 +513,6 @@ def load_config(path):
     missing = [k for k in required if k not in raw]
     if missing:
         raise InputError(f"config {path}: missing keys {missing}")
-    counts = {key: _integer(f"config {path}: {key}", raw[key])
-              for key in ("n1", "n2", "n3", "L", "seed")}
-    reals = {key: _real(f"config {path}: {key}", raw[key])
-             for key in ("p", "q", "rho")}
     statistics = raw.get("statistics", list(ALL_STATISTICS))
     if not (isinstance(statistics, list)
             and all(isinstance(sid, str) for sid in statistics)):
@@ -529,12 +520,14 @@ def load_config(path):
             f"config {path}: statistics must be a list of names, got "
             f"{statistics!r}"
         )
-    scn = SimScenario(
-        alpha=_real(f"config {path}: alpha", raw.get("alpha", 0.05)),
-        statistics=tuple(statistics),
-        **reals,
-        **counts,
-    )
+    try:
+        scn = SimScenario(
+            alpha=raw.get("alpha", 0.05),
+            statistics=tuple(statistics),
+            **{key: raw[key] for key in required},
+        )
+    except InputError as exc:
+        raise InputError(f"config {path}: {exc}") from None
     sweep_spec = raw.get("sweep")
     if sweep_spec is None:
         return scn, "rho", [scn.rho]

@@ -679,3 +679,107 @@ class TestRankPolicyLabel:
         y = canonicalize(SampleSet(variables=([1, 2, 2], [0, 1, 0])))
         mismatch = ed_test(x, y, rank_policy=policy)
         assert fallback.rank_policy == mismatch.rank_policy == label
+
+
+class TestSampleSetFields:
+    """``names`` must match the variables; ``zeta`` and ``offset`` are
+    real numbers stored as floats."""
+
+    @pytest.mark.parametrize("names", [("a",), ("a", "b", "c"), ()])
+    def test_wrong_length_names_rejected(self, names):
+        with pytest.raises(DimensionMismatch, match="names"):
+            SampleSet(variables=([0, 1], [0, 2]), names=names)
+
+    def test_matching_names_kept(self):
+        raw = SampleSet(variables=([0, 1], [0, 2]), names=["a", 2])
+        assert raw.names == ("a", "2")
+        assert canonicalize(raw).names == ("a", "2")
+
+    @pytest.mark.parametrize("field", ["zeta", "offset"])
+    @pytest.mark.parametrize("bad", ["0.5", None, True, [1.0]])
+    def test_non_number_rejected(self, field, bad):
+        with pytest.raises(InputError, match="must be a number"):
+            SampleSet(variables=([0, 1], [0, 2]), **{field: bad})
+
+    def test_numbers_stored_as_floats(self):
+        raw = SampleSet(variables=([0, 1], [0, 2]), offset=np.int64(3),
+                        zeta=np.float32(0.5))
+        assert type(raw.offset) is float and raw.offset == 3.0
+        assert type(raw.zeta) is float and raw.zeta == 0.5
+        assert canonicalize(raw).total_offset == 6
+
+
+class TestIntegralArguments:
+    """Integral arguments accept any integer type and refuse fractions."""
+
+    X = [[0, 1, 1, 0], [1, 0, 1, 1]]
+    PMVS = [PMV([0.5, 0.5]), PMV([0.25, 0.75])]
+
+    @pytest.mark.parametrize("key", ["dof_gf", "dof_ed"])
+    @pytest.mark.parametrize("bad", [1.5, True, "1"])
+    def test_oracle_dof_must_be_integral(self, key, bad):
+        with pytest.raises(InputError, match=key):
+            oracle_statistics(self.X, self.PMVS, y=[[0, 1, 2]],
+                              y_pmvs=[PMV([0.25, 0.5, 0.25])], **{key: bad})
+
+    @pytest.mark.parametrize("dof", [2.0, np.int64(2)])
+    def test_oracle_integral_dof_accepted(self, dof):
+        gf, ed = oracle_statistics(self.X, self.PMVS, y=[[0, 1, 2]],
+                                   y_pmvs=[PMV([0.25, 0.5, 0.25])],
+                                   dof_gf=dof, dof_ed=dof)
+        assert gf.dof == ed.dof == 2
+        assert type(gf.dof) is int
+
+    @pytest.mark.parametrize("policy", [np.int64(2), np.int32(2), 2])
+    def test_numpy_integer_rank_policy(self, policy):
+        report = gof_test(self.X, [0.125, 0.5, 0.375], rank_policy=policy)
+        assert report.rank_policy == "fixed(2)"
+        assert report.dof == 2
+
+    @pytest.mark.parametrize("policy", [True, np.bool_(True)])
+    def test_bool_rank_policy_rejected(self, policy):
+        with pytest.raises(InputError, match="rank policy"):
+            gof_test(self.X, [0.125, 0.5, 0.375], rank_policy=policy)
+
+    @pytest.mark.parametrize("mode", ["bogus", "", None, "DROP"])
+    def test_unknown_zero_expected_mode(self, mode):
+        with pytest.raises(InputError, match="'error' or 'drop'"):
+            pearson_gof([0, 1, 2], PMV([0.5, 0.0, 0.5]),
+                        on_zero_expected=mode)
+        # refused even when z has no zero cell to apply it to
+        with pytest.raises(InputError, match="'error' or 'drop'"):
+            pearson_gof([0, 1, 2], PMV([0.25, 0.5, 0.25]),
+                        on_zero_expected=mode)
+
+
+class TestOracleDefaultDof:
+    """The oracle's default dof is ``covariance_rank``'s analytic rank of
+    the true PMVs, or its numeric rank when a true PMV has zero cells."""
+
+    @staticmethod
+    def expected(rank):
+        return (rank.numeric_rank if rank.analytic_rank is None
+                else rank.analytic_rank)
+
+    @pytest.mark.parametrize("kind", ["interior", "shared_root", "zero_cells"])
+    def test_matches_covariance_rank(self, kind):
+        rng = np.random.default_rng(71)
+        for _ in range(30):
+            k, r = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            weights = [rng.uniform(0.2, 1.0, r + 1) for _ in range(k)]
+            if kind == "shared_root":
+                weights = [np.convolve([1.0, 2.0], w) for w in weights]
+            elif kind == "zero_cells":
+                for w in weights[: int(rng.integers(1, k + 1))]:
+                    w[int(rng.integers(1, r))] = 0.0
+            x_pmvs = [PMV(w / w.sum()) for w in weights]
+            y_pmvs = x_pmvs[::-1]
+            x = [rng.choice(p.support_len, int(rng.integers(20, 200)), p=p.probs)
+                 for p in x_pmvs]
+            y = [rng.choice(p.support_len, int(rng.integers(20, 200)), p=p.probs)
+                 for p in y_pmvs]
+            gf, ed = oracle_statistics(x, x_pmvs, y=y, y_pmvs=y_pmvs)
+            if kind == "zero_cells":
+                assert covariance_rank(x_pmvs).analytic_rank is None
+            assert gf.dof == self.expected(covariance_rank(x_pmvs))
+            assert ed.dof == self.expected(covariance_rank(x_pmvs, y_pmvs))

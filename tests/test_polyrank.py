@@ -218,6 +218,21 @@ class TestCovarianceRank:
             rep = covariance_rank(pmvs)
             assert rep.lower_bound <= rep.numeric_rank
 
+    def test_plain_probability_vectors(self):
+        probs = [[0.5, 0.0, 0.5], [0.3, 0.7]]
+        pmvs = [PMV(p) for p in probs]
+        for got, want in [
+            (covariance_rank(probs), covariance_rank(pmvs)),
+            (covariance_rank([np.array(p) for p in probs], [[0.2, 0.3, 0.1, 0.4]]),
+             covariance_rank(pmvs, [PMV([0.2, 0.3, 0.1, 0.4])])),
+        ]:
+            assert got.s == want.s
+            assert got.analytic_rank == want.analytic_rank
+            assert got.lower_bound == want.lower_bound
+            assert got.numeric_rank == want.numeric_rank
+            assert got.zero_index_sets == want.zero_index_sets
+            np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+
     def test_analytic_equals_numeric_on_interior(self):
         rng = np.random.default_rng(37)
         for _ in range(60):

@@ -580,6 +580,26 @@ class TestArtifacts:
             SimScenario(p=0.3, q=0.8, rho=0.0, n1=4, n2=4, n3=4, L=10,
                         statistics=("P_GF",))).entries["P_GF"]
 
+    @pytest.mark.parametrize("change, message", [
+        ({"p": 1.5}, "p and q must lie in (0,1)"),
+        ({"rho": -0.1}, "rho must lie in [0,1]"),
+        ({"n1": 9}, "n1, n2 <= n3"),
+        ({"statistics": ["C9_GF"]}, "unknown statistics"),
+    ])
+    def test_config_range_error_names_the_file(self, tmp_path, change,
+                                                message):
+        import json
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "p": 0.3, "q": 0.8, "rho": 0.4, "n1": 5, "n2": 5, "n3": 5,
+            "L": 10, "seed": 1, **change,
+        }))
+        with pytest.raises(InputError) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"config {path}: ")
+        assert message in str(info.value)
+
     def test_config_missing_key(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"p": 0.3}')
