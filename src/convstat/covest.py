@@ -10,6 +10,20 @@ the multinomial covariance and ``c_i = m / n_i`` weights unequal sample
 sizes by the smallest one.  This module assembles that matrix from true
 PMVs (``psi``/``xi``) and from data (``psi_hat``/``xi_hat``), plus the
 sub-independence covariance ``upsilon_hat``.
+
+Every assembly is ``F F'`` (``_weighted_cov``) of one stacked factor
+(``_factor``)
+
+    F = (S' - z 1') diag(sqrt(w)),   S' = [T(x_(1)) ... T(x_(k))],
+
+with ``w`` the concatenated ``c_i p_i`` and ``z`` the full convolution,
+all read from one ``pmv._products`` pass.  Since ``T(x_(i)) p_i = z`` and
+``sum p_i = 1``, ``S' diag(w) S = sum_i c_i T(x_(i)) diag(p_i) T(x_(i))'``
+and ``S' w = (sum_i c_i) z``, so ``F F'`` is the sum above in exact
+arithmetic; as a Gram matrix it is positive semi-definite to roundoff.
+When every PMV is a point mass each weighted column of ``S'`` is exactly
+``z``, so ``F`` is exactly zero, which the tests read as their Pearson
+fallback.
 """
 
 import numpy as np
@@ -22,8 +36,8 @@ from .errors import (
     NotPaired,
 )
 from .pmv import (
-    EmpiricalPMV, PMV, _conv_matrix, _leave_one_out, _multinomial_cov,
-    _require_finite, empirical_pmv, multinomial_cov,
+    EmpiricalPMV, PMV, _conv_matrix, _products, _require_finite,
+    empirical_pmv, multinomial_cov,
 )
 
 __all__ = [
@@ -58,12 +72,14 @@ def _as_pmvs(pmvs) -> list:
     return out
 
 
-def _weighted_cov(probs, weights=None) -> np.ndarray:
-    """``sum_i c_i T(x_(i)) S(x_i) T(x_(i))'`` for any count k >= 1.
+def _factor(probs, weights=None, products=None) -> np.ndarray:
+    """The stacked factor ``F`` whose ``F F'`` is :func:`_weighted_cov`.
 
-    ``probs`` holds one probability array per variable; leading axes
-    ``(..., r_i + 1)`` give a stack of matrices.  A single variable has
-    identity T; ``weights`` default to all ones.
+    ``F = (S' - z 1') diag(sqrt(w))`` with ``S' = [T(x_(1)) ... T(x_(k))]``,
+    ``w`` the concatenated ``c_i p_i`` and ``z`` the full convolution.
+    ``products`` is the ``(leave-one-out list, convolution)`` pair of
+    ``pmv._products``, computed here when not given.  A stack of arrays
+    gives a stack of factors.
     """
     probs = [np.asarray(p, dtype=float) for p in probs]
     if weights is None:
@@ -73,29 +89,45 @@ def _weighted_cov(probs, weights=None) -> np.ndarray:
         raise EmptySizes(
             f"{len(probs)} PMVs but {weights.size} weights supplied"
         )
-    out = 0.0
-    for c, p, other in zip(weights, probs, _leave_one_out(probs)):
-        t = _conv_matrix(other, p.shape[-1])
-        out = out + c * (t @ _multinomial_cov(p) @ np.swapaxes(t, -1, -2))
-    return out
+    loo, z = _products(probs) if products is None else products
+    s_t = np.concatenate(
+        [_conv_matrix(x, p.shape[-1]) for x, p in zip(loo, probs)], axis=-1
+    )
+    w = np.concatenate([c * p for c, p in zip(weights, probs)], axis=-1)
+    return (s_t - z[..., :, None]) * np.sqrt(w)[..., None, :]
 
 
-def _check_not_degenerate(pmvs):
+def _weighted_cov(probs, weights=None, products=None) -> np.ndarray:
+    """``sum_i c_i T(x_(i)) S(x_i) T(x_(i))'`` as ``F F'`` (``_factor``).
+
+    ``probs`` holds one probability array per variable; leading axes
+    ``(..., r_i + 1)`` give a stack of matrices.  A single variable has
+    identity T; ``weights`` default to all ones.
+    """
+    f = _factor(probs, weights, products)
+    return f @ np.swapaxes(f, -1, -2)
+
+
+def _true_probs(pmvs, k_min: int, name: str) -> list:
+    """Probability arrays of at least ``k_min`` true PMVs, none of them a
+    point mass: the limiting covariance is undefined for a constant."""
+    pmvs = _as_pmvs(pmvs)
+    if len(pmvs) < k_min:
+        raise NeedTwoVariables(
+            f"{name} requires k >= {k_min} PMVs, got {len(pmvs)}"
+        )
     for i, p in enumerate(pmvs):
         if p.degenerate:
             raise DegenerateVariable(
                 f"variable {i} has a point-mass PMV; the limiting covariance "
                 "is undefined for constant variables"
             )
+    return [p.probs for p in pmvs]
 
 
 def psi(pmvs, weights=None) -> np.ndarray:
     """Covariance of the goodness-of-fit statistic from true PMVs (k >= 2)."""
-    pmvs = _as_pmvs(pmvs)
-    if len(pmvs) < 2:
-        raise NeedTwoVariables(f"psi requires k >= 2 PMVs, got {len(pmvs)}")
-    _check_not_degenerate(pmvs)
-    return _weighted_cov([p.probs for p in pmvs], weights)
+    return _weighted_cov(_true_probs(pmvs, 2, "psi"), weights)
 
 
 def xi(pmvs, weights=None) -> np.ndarray:
@@ -104,11 +136,7 @@ def xi(pmvs, weights=None) -> np.ndarray:
     For h = 1 the leave-one-out convolution is the identity, so the result
     collapses to ``c * S(y_1)``.
     """
-    pmvs = _as_pmvs(pmvs)
-    if len(pmvs) < 1:
-        raise NeedTwoVariables("xi requires at least one PMV")
-    _check_not_degenerate(pmvs)
-    return _weighted_cov([p.probs for p in pmvs], weights)
+    return _weighted_cov(_true_probs(pmvs, 1, "xi"), weights)
 
 
 def _epmvs_from_samples(samples, support_lens=None) -> list:
@@ -164,7 +192,8 @@ def _column_pmv(column, r=None) -> EmpiricalPMV:
 
 
 def _paired_estimates(arr, support_lens=None):
-    """Column PMVs, row-sum PMV and ``upsilon_hat`` of an m x k table.
+    """Column PMVs, row-sum PMV, ``upsilon_hat`` and the convolution of the
+    column PMVs of an m x k table, from one ``pmv._products`` pass.
 
     Each column is copied into contiguous memory once, for its support
     length and its counts, and the copy is dropped before the next one.
@@ -185,8 +214,10 @@ def _paired_estimates(arr, support_lens=None):
     for j in range(k):
         row_sums += arr[:, j]
     z_hat = empirical_pmv(row_sums, sum(e.pmv.r for e in epmvs))
-    psi_m = _weighted_cov([e.pmv.probs for e in epmvs])
-    return epmvs, z_hat, multinomial_cov(z_hat.pmv) - psi_m
+    probs = [e.pmv.probs for e in epmvs]
+    products = _products(probs)
+    psi_m = _weighted_cov(probs, None, products)
+    return epmvs, z_hat, multinomial_cov(z_hat.pmv) - psi_m, products[1]
 
 
 def upsilon_hat(paired, support_lens=None) -> np.ndarray:

@@ -32,7 +32,7 @@ from .errors import (
     ZeroExpected,
 )
 from .pmv import (
-    PMV, _integer, _integer_values, _real, _require_finite, convolve_all,
+    PMV, _integer, _integer_values, _products, _real, _require_finite,
     empirical_pmv,
 )
 from .polyrank import _numeric_rank, _rank_formula
@@ -338,12 +338,14 @@ def _psd_wald(vec, dec: symlin.EigenDecomp, r: int):
     return stat if stat.ndim else float(stat)
 
 
-def _resolve_dof(label, fixed_r, epmvs_sides, dec, warnings, diagnostics):
+def _resolve_dof(label, fixed_r, epmvs_sides, loos, dec, warnings,
+                 diagnostics):
     """Degrees of freedom under the requested rank policy.
 
     Returns ``(dof, label)``.  The analytic policy reads ``s - deg g`` and
     the lower-bound policy ``s - deg g - zeros`` from
-    ``polyrank._rank_formula``; either is clamped to 1 with a warning.
+    ``polyrank._rank_formula`` on the sides' leave-one-out lists ``loos``;
+    either is clamped to 1 with a warning.
     The analytic policy silently degrades to the lower-bound path (with a
     warning) when an empirical PMV has zero cells.
     """
@@ -357,7 +359,8 @@ def _resolve_dof(label, fixed_r, epmvs_sides, dec, warnings, diagnostics):
         return fixed_r, label
     if label == "numeric":
         return max(1, _numeric_rank(dec.values)), label
-    formula = _rank_formula([[e.pmv for e in side] for side in epmvs_sides])
+    formula = _rank_formula([[e.pmv for e in side] for side in epmvs_sides],
+                            loos)
     diagnostics["gcd_degree"] = formula.gcd.degree
     if label == "analytic" and formula.analytic is None:
         warnings.append(
@@ -501,7 +504,8 @@ def _pad(a: np.ndarray, size: int) -> np.ndarray:
 
 
 def _estimate(sides, size):
-    """``(m, convolutions, covariance)`` of sides of empirical PMVs.
+    """``(m, convolutions, covariance, leave-one-out lists)`` of sides of
+    empirical PMVs, from one ``pmv._products`` pass per side.
 
     ``m`` is the smallest sample size and sets the weights ``m / n_i``;
     each side's convolution and the sum of the sides' weighted covariance
@@ -509,13 +513,16 @@ def _estimate(sides, size):
     """
     sizes = [e.n for side in sides for e in side]
     weights = iter(covest.weights_from_sizes(sizes))
-    convs, cov = [], 0.0
+    convs, cov, loos = [], 0.0, []
     for side in sides:
-        convs.append(_pad(convolve_all([e.pmv for e in side]).probs, size))
+        probs = [e.pmv.probs for e in side]
+        loo, conv = products = _products(probs)
+        loos.append(loo)
+        convs.append(_pad(conv, size))
         side_weights = [next(weights) for _ in side]
-        cov = cov + _pad(covest._weighted_cov(
-            [e.pmv.probs for e in side], side_weights), size)
-    return min(sizes), convs, cov
+        cov = cov + _pad(covest._weighted_cov(probs, side_weights, products),
+                         size)
+    return min(sizes), convs, cov, loos
 
 
 def _base_diagnostics(dec=None, m=None, warnings=None, **extra) -> dict:
@@ -548,13 +555,13 @@ def _pearson_fallback(base, why, n_discarded, label, fixed_r, warnings,
                    fallback_used=True)
 
 
-def _wald_report(vec, cov, label, fixed_r, epmvs_sides, warnings, m,
+def _wald_report(vec, cov, label, fixed_r, epmvs_sides, loos, warnings, m,
                  **extra):
     """Report of the Wald form of ``vec`` in the PSD estimate ``cov``."""
     dec = symlin.eigh(cov)
     diagnostics = _base_diagnostics(dec=dec, m=m, warnings=warnings, **extra)
     dof, label = _resolve_dof(
-        label, fixed_r, epmvs_sides, dec, warnings, diagnostics
+        label, fixed_r, epmvs_sides, loos, dec, warnings, diagnostics
     )
     return _report(_psd_wald(vec, dec, dof), dof, label, diagnostics)
 
@@ -581,7 +588,7 @@ def gof_test(x, z, rank_policy="analytic", support_lens=None) -> TestReport:
             f"z has {z.support_len} cells but the combined support has "
             f"{s + 1}"
         )
-    m, (conv,), psi_m = _estimate([epmvs], s + 1)
+    m, (conv,), psi_m, loos = _estimate([epmvs], s + 1)
     if np.any((z.probs == 0.0) & (conv > 0.0)):
         raise ZeroExpected(
             "z has zero cells where the observed convolution has mass"
@@ -597,7 +604,7 @@ def gof_test(x, z, rank_policy="analytic", support_lens=None) -> TestReport:
         )
 
     v_m = math.sqrt(m) * (conv - z.probs)
-    return _wald_report(v_m, psi_m, label, fixed_r, [epmvs], warnings,
+    return _wald_report(v_m, psi_m, label, fixed_r, [epmvs], loos, warnings,
                         m=m, total_offset=offset)
 
 
@@ -646,7 +653,7 @@ def ed_test(
             f"support degrees differ ({s_x} vs {s_y}); shorter side zero-"
             "padded"
         )
-    m, (conv_x, conv_y), total = _estimate([x_epmvs, y_epmvs], s + 1)
+    m, (conv_x, conv_y), total, loos = _estimate([x_epmvs, y_epmvs], s + 1)
 
     if not total.any():
         x_sums, x_disc = paired_sums(x_arrays)
@@ -664,7 +671,7 @@ def ed_test(
             "numeric policy"
         )
         label = "numeric"
-    return _wald_report(w_m, total, label, fixed_r, [x_epmvs, y_epmvs],
+    return _wald_report(w_m, total, label, fixed_r, [x_epmvs, y_epmvs], loos,
                         warnings, m=m, notes=notes, total_offset=x_offset,
                         padded=padded)
 
@@ -684,10 +691,9 @@ def subind_test(paired, rank_policy=None, support_lens=None) -> TestReport:
         raise NeedTwoVariables(
             f"subind_test requires k >= 2 columns, got {arr.shape[1]}"
         )
-    epmvs, z_hat, ups = covest._paired_estimates(arr, support_lens)
+    epmvs, z_hat, ups, conv = covest._paired_estimates(arr, support_lens)
     s = sum(e.pmv.r for e in epmvs)
     m = arr.shape[0]
-    conv = convolve_all([e.pmv for e in epmvs]).probs
     warnings = []
     if rank_policy is None:
         dof = max(1, s)
@@ -700,7 +706,10 @@ def subind_test(paired, rank_policy=None, support_lens=None) -> TestReport:
                 "fixed:N"
             )
 
-    if not ups.any():
+    # With at most one non-constant column the row sums are that column
+    # shifted, so upsilon is zero in exact arithmetic; its factor form
+    # leaves roundoff there, so the data decide.
+    if sum(not e.pmv.degenerate for e in epmvs) < 2:
         warnings.append(
             "covariance estimate is identically zero (degenerate paired "
             "data); no evidence against the null"
@@ -735,7 +744,8 @@ def oracle_statistics(
 
     For simulation use: ``x_pmvs`` (and ``y_pmvs``) are the known data
     distributions, so no covariance estimation takes place and the full
-    Moore-Penrose pseudo-inverse of the true matrix is applied.  Returns a
+    Moore-Penrose pseudo-inverse of the true matrix is applied, from one
+    SVD of its factor (``covest._factor``).  Returns a
     ``(gof_report, ed_report)`` pair; the second is None without a y side.
     Default dof is the analytic rank of the true covariance, or its numeric
     rank when a true PMV has zero cells; ``dof_gf`` / ``dof_ed`` must be
@@ -760,33 +770,43 @@ def oracle_statistics(
     m = min(sizes)
     weights = covest.weights_from_sizes(sizes)
 
-    def report(vec, cov, dof, *pmv_sides):
-        """Oracle report; dof defaults to the analytic, else numeric, rank."""
-        dec = symlin.eigh(cov)
+    def report(vec, factor, dof, pmv_sides, loos):
+        """Oracle report: ``||Sigma_r^-1 U_r' v||^2`` from one SVD of the
+        true covariance's factor, with the singular-value cut
+        ``max(shape) * eps * sigma_max``; dof defaults to the analytic,
+        else the numeric, rank."""
+        u, sv, _ = np.linalg.svd(factor, full_matrices=False)
         if dof is None:
-            dof = _rank_formula(pmv_sides).analytic
+            dof = _rank_formula(pmv_sides, loos).analytic
         if dof is None:
-            dof = _numeric_rank(dec.values)
-        return _report(_psd_wald(vec, dec, cov.shape[0]), dof, "oracle",
+            dof = _numeric_rank(sv * sv)
+        keep = symlin._above_cut(sv, max(factor.shape) * _EPS)
+        proj = (vec @ u[:, keep]) / sv[keep]
+        return _report(float(proj @ proj), dof, "oracle",
                        {"warnings": [], "m": int(m)})
 
-    psi_true = covest.psi(x_pmvs, weights[: len(x_epmvs)])
-    z = convolve_all(x_pmvs) if z is None else (z if isinstance(z, PMV) else PMV(z))
-    conv_x = convolve_all([e.pmv for e in x_epmvs]).probs
+    x_probs = covest._true_probs(x_pmvs, 2, "psi")
+    x_loo, x_conv = x_products = _products(x_probs)
+    f_x = covest._factor(x_probs, weights[: len(x_epmvs)], x_products)
+    z = PMV(x_conv) if z is None else (z if isinstance(z, PMV) else PMV(z))
+    conv_x = _products([e.pmv.probs for e in x_epmvs])[1]
     if z.support_len != conv_x.size:
         raise SupportMismatch(
             f"z has {z.support_len} cells, expected {conv_x.size}"
         )
-    gf = report(math.sqrt(m) * (conv_x - z.probs), psi_true, dof_gf, x_pmvs)
+    gf = report(math.sqrt(m) * (conv_x - z.probs), f_x, dof_gf, [x_pmvs],
+                [x_loo])
     if y_epmvs is None:
         return gf, None
 
-    xi_true = covest.xi(y_pmvs, weights[len(x_epmvs):])
-    if xi_true.shape != psi_true.shape:
+    y_probs = covest._true_probs(y_pmvs, 1, "xi")
+    y_products = _products(y_probs)
+    f_y = covest._factor(y_probs, weights[len(x_epmvs):], y_products)
+    if f_y.shape[0] != f_x.shape[0]:
         raise SupportMismatch(
             "x and y sides have different total support degrees"
         )
-    conv_y = convolve_all([e.pmv for e in y_epmvs]).probs
-    ed = report(math.sqrt(m) * (conv_x - conv_y), psi_true + xi_true, dof_ed,
-                x_pmvs, y_pmvs)
+    conv_y = _products([e.pmv.probs for e in y_epmvs])[1]
+    ed = report(math.sqrt(m) * (conv_x - conv_y), np.hstack([f_x, f_y]),
+                dof_ed, [x_pmvs, y_pmvs], [x_loo, y_products[0]])
     return gf, ed

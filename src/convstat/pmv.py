@@ -3,9 +3,12 @@
 A PMV represents the distribution of a random variable taking values in
 ``{0, ..., r}``.  The module provides empirical estimation from samples,
 discrete convolution (the distribution of a sum of independent variables),
-the banded convolution matrix, and the multinomial covariance matrix.
+the one prefix/suffix pass that gives a family's leave-one-out
+convolutions and its full convolution together (``_products``), the banded
+convolution matrix, and the multinomial covariance matrix.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import reduce
@@ -32,6 +35,10 @@ __all__ = [
     "multinomial_cov",
 ]
 
+# Largest support degree an empirical PMV accepts: its counts take
+# 8 * (r + 1) bytes, so an absurd r is refused before anything is allocated.
+MAX_SUPPORT = 2**24
+
 # Drift beyond this triggers renormalization; within it, entries are kept
 # bit-for-bit so exact-equality tests on convolutions stay exact.
 _SUM_TOL = 1e-12
@@ -56,14 +63,16 @@ class PMV:
     __slots__ = ("_probs",)
 
     def __init__(self, probs):
-        p = np.asarray(probs, dtype=float).copy()
+        p = np.array(probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise InvalidPMV("PMV must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(p)):
-            raise InvalidPMV("PMV entries must be finite")
-        if np.any(p < 0.0):
-            raise InvalidPMV("PMV entries must be nonnegative")
+        # Two reductions on the valid path: NaN fails the minimum test and
+        # an infinite entry the sum test; the message is found on failure.
+        if not p.min() >= 0.0:
+            raise _invalid(p)
         total = float(p.sum())
+        if not total < math.inf:
+            raise _invalid(p)
         if total <= 0.0:
             raise InvalidPMV("PMV entries must have positive sum")
         if abs(total - 1.0) > _SUM_TOL:
@@ -115,6 +124,15 @@ class PMV:
         return f"PMV(({body}))"
 
 
+def _invalid(p) -> InvalidPMV:
+    """The error for entries that fail ``min >= 0`` or have no finite sum."""
+    if not np.all(np.isfinite(p)):
+        return InvalidPMV("PMV entries must be finite")
+    if p.min() < 0.0:
+        return InvalidPMV("PMV entries must be nonnegative")
+    return InvalidPMV("PMV entries must have a finite sum")
+
+
 @dataclass(frozen=True)
 class EmpiricalPMV:
     """Maximum-likelihood PMV estimate together with its sample count."""
@@ -128,16 +146,19 @@ def empirical_pmv(samples, r: int) -> EmpiricalPMV:
 
     Raises ``EmptySample`` for empty input, ``DimensionMismatch`` for
     input that is not 1-D, ``DomainError`` for NaN or infinity,
-    ``InputError`` for a non-integral ``r``, and ``SupportViolation`` when
-    any observation is non-integral or outside ``{0, ..., r}``.
+    ``InputError`` for a non-integral ``r``, and ``SupportViolation`` for
+    an ``r`` outside ``0..MAX_SUPPORT`` or when any observation is
+    non-integral or outside ``{0, ..., r}``.
     """
     values = np.asarray(samples)
     if values.size == 0:
         raise EmptySample("no observations supplied")
     values = _integer_values(values, "observations")
     r = _integer("support degree r", r)
-    if r < 0:
-        raise SupportViolation("support degree r must be nonnegative")
+    if not 0 <= r <= MAX_SUPPORT:
+        raise SupportViolation(
+            f"support degree r must lie in 0..{MAX_SUPPORT}, got {r}"
+        )
     if values.min() < 0 or values.max() > r:
         raise SupportViolation(
             f"observations must lie in {{0, ..., {r}}}; "
@@ -210,11 +231,14 @@ def _convolve(a, b) -> np.ndarray:
     return out
 
 
-def _leave_one_out(probs) -> list:
-    """For each i, the convolution of all probability arrays but the i-th.
+def _products(probs):
+    """``(leave-one-out list, full convolution)`` of probability arrays.
 
-    Prefix/suffix products keep the work linear in k; one array's
-    leave-one-out is the identity ``(1,)``.  Leading axes broadcast.
+    One prefix/suffix pass keeps the work linear in k: the i-th entry of
+    the list convolves every array but the i-th (the identity ``(1,)`` for
+    a single array), and the full convolution is the last prefix times the
+    last array, the same fold, bit for bit, as :func:`convolve_all`.
+    Leading axes broadcast.
     """
     one = np.ones(1)
     prefix = [one]
@@ -224,7 +248,8 @@ def _leave_one_out(probs) -> list:
     for p in reversed(probs[1:]):
         suffix.append(_convolve(p, suffix[-1]))
     suffix.reverse()
-    return [_convolve(a, b) for a, b in zip(prefix, suffix)]
+    loo = [_convolve(a, b) for a, b in zip(prefix, suffix)]
+    return loo, _convolve(prefix[-1], probs[-1])
 
 
 def convolve(a: PMV, b: PMV) -> PMV:
@@ -264,12 +289,6 @@ def conv_matrix(v: PMV, cols: int) -> np.ndarray:
     return _conv_matrix(v.probs, cols)
 
 
-def _multinomial_cov(p) -> np.ndarray:
-    """``diag(p) - p p'`` for probability arrays of shape ``(..., n)``."""
-    col = p[..., :, None]
-    return col * np.eye(p.shape[-1]) - col * p[..., None, :]
-
-
 def multinomial_cov(v: PMV) -> np.ndarray:
     """Multinomial covariance ``diag(v) - v v'`` of a one-hot indicator."""
-    return _multinomial_cov(v.probs)
+    return np.diag(v.probs) - np.outer(v.probs, v.probs)

@@ -15,7 +15,8 @@ vector of the Hankel windows of its null space (``_sylvester_gcd``).
 
 This module is the one owner of every rank decision: the gcd of the
 leave-one-out PGFs (``_sides_gcd``, one SVD of the covariance's own
-stacked factor with the size-derived cut ``max(shape) * eps``), the
+stacked factor with the size-derived cut ``max(shape) * eps``, read from
+the same ``pmv._products`` pass as the covariance), the
 numeric eigenvalue count (``_numeric_rank``) and the rank formulas
 ``s - deg g`` and ``s - deg g - zeros`` (``_rank_formula``).  The public
 ``gcd_degree`` / ``gcd_many`` take a relative cut, ``GCD_TOL`` by
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import covest, symlin
 from .errors import DimensionMismatch, DomainError, NeedTwoVariables, ZeroInput
-from .pmv import PMV, _conv_matrix, _leave_one_out
+from .pmv import PMV, _conv_matrix, _products
 
 __all__ = [
     "GcdResult",
@@ -189,13 +190,14 @@ def leave_one_out(pmvs) -> list:
         raise NeedTwoVariables(
             f"leave_one_out requires k >= 2, got {len(pmvs)}"
         )
-    return [PMV(p) for p in _leave_one_out([p.probs for p in pmvs])]
+    return [PMV(p) for p in _products([p.probs for p in pmvs])[0]]
 
 
-def _sides_gcd(sides) -> GcdResult:
+def _sides_gcd(loos, n: int) -> GcdResult:
     """gcd of every side's leave-one-out PGFs in one Sylvester SVD.
 
-    ``sides`` holds one list of probability vectors per side.  The matrix
+    ``loos`` holds each side's leave-one-out list from its
+    ``pmv._products`` pass, the same one the covariance reads.  The matrix
     has ``n = max s + 1`` columns: for one side its rows are the columns of
     the covariance's factors ``T(x_(i)) = C(x_(i), r_i + 1)``, so
     ``n - rank`` is the ``deg g`` of the rank formula ``s - deg g``.  A
@@ -203,9 +205,7 @@ def _sides_gcd(sides) -> GcdResult:
     a block more shifts, and a one-variable side contributes the identity
     ``(1,)``, so its gcd is 1.  The cut is ``max(shape) * eps * sigma_max``.
     """
-    n = max(sum(p.size - 1 for p in probs) for probs in sides) + 1
-    polys = [_trim(f) for probs in sides for f in _leave_one_out(probs)]
-    return _sylvester_gcd(polys, n, None)
+    return _sylvester_gcd([_trim(f) for loo in loos for f in loo], n, None)
 
 
 def _numeric_rank(values) -> int:
@@ -224,11 +224,12 @@ class _RankFormula(NamedTuple):
     zero_sets: tuple
 
 
-def _rank_formula(sides) -> _RankFormula:
+def _rank_formula(sides, loos) -> _RankFormula:
     """``s - deg g`` and ``s - deg g - zeros`` of sides of PMVs.
 
     ``s`` is the largest side's total support degree and ``g`` the gcd of
-    every side's leave-one-out PGFs (``_sides_gcd``).  ``analytic`` is
+    every side's leave-one-out PGFs (``_sides_gcd``); ``loos`` holds each
+    side's leave-one-out list from its ``pmv._products`` pass.  ``analytic`` is
     ``s - deg g`` when every PMV is interior and None otherwise;
     ``lower`` also subtracts ``zeros``, the count of zero PMV entries, and
     is not floored.  ``zero_sets`` holds each PMV's zero indices; they are
@@ -236,7 +237,7 @@ def _rank_formula(sides) -> _RankFormula:
     """
     pmvs = [p for side in sides for p in side]
     s = max(sum(p.r for p in side) for side in sides)
-    gcd = _sides_gcd([[p.probs for p in side] for side in sides])
+    gcd = _sides_gcd(loos, s + 1)
     rank = s - gcd.degree
     if all(p.interior for p in pmvs):
         return _RankFormula(s, gcd, rank, rank, 0, ((),) * len(pmvs))
@@ -266,9 +267,11 @@ def covariance_rank(x_pmvs, y_pmvs=None) -> RankReport:
             raise DimensionMismatch(
                 f"total support degree differs between sides: {s_x} vs {s_y}"
             )
-    formula = _rank_formula(sides)
-    dec = symlin.eigh(sum(covest._weighted_cov([p.probs for p in side])
-                          for side in sides))
+    probs = [[p.probs for p in side] for side in sides]
+    products = [_products(side) for side in probs]
+    formula = _rank_formula(sides, [loo for loo, _ in products])
+    dec = symlin.eigh(sum(covest._weighted_cov(side, None, pair)
+                          for side, pair in zip(probs, products)))
     return RankReport(
         s=formula.s,
         analytic_rank=formula.analytic,

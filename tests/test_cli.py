@@ -65,6 +65,12 @@ class TestGofCommand:
         assert main(["gof", str(data), "--z", "0.25,0.5,0.25"]) == 2
         assert "non-finite value" in capsys.readouterr().err
 
+    def test_absurd_support_is_input_error(self, tmp_path, capsys):
+        data = tmp_path / "wide.csv"
+        data.write_text("variable_id,value\nA1,0\nA1,1e12\nA2,1\nA2,0\n")
+        assert main(["gof", str(data), "--z", "0.5,0.5"]) == 2
+        assert "support degree r must lie in" in capsys.readouterr().err
+
     def test_dimension_mismatch_is_input_error(self, datafiles, capsys):
         code = main(["gof", datafiles["x"], "--z", "0.5,0.5"])
         assert code == 2

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convstat import (
     DegenerateVariable,
@@ -19,6 +21,9 @@ from convstat import (
     xi,
     xi_hat,
 )
+from convstat.covest import _factor, _weighted_cov
+from convstat.pmv import conv_matrix
+from convstat.polyrank import leave_one_out
 
 FAIR = PMV([0.5, 0.5])
 # limiting covariance for two fair coins with unit weights, confirmed by
@@ -211,3 +216,71 @@ class TestUpsilonHat:
             upsilon_hat([[1, 2], [1]])
         with pytest.raises(NotPaired):
             upsilon_hat([[1, 2]])
+
+
+@st.composite
+def weighted_pmvs(draw):
+    """k = 1..4 probability vectors of unequal degree 0..4, some cells zero,
+    with weights in (0, 1]."""
+    probs = []
+    for _ in range(draw(st.integers(1, 4))):
+        cells = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+        p = np.array(cells) ** 2
+        if p.sum() == 0.0:
+            p[0] = 1.0
+        probs.append(p / p.sum())
+    weights = [draw(st.floats(0.01, 1.0)) for _ in probs]
+    return probs, weights
+
+
+def per_variable(probs, weights):
+    """``(sum_i c_i T S(p_i) T', sum_i c_i T diag(p_i) T')`` term by term,
+    ``T = T(x_(i))``; the second is the scale before ``S`` cancels."""
+    loo = [np.ones(1)] if len(probs) == 1 else [
+        p.probs for p in leave_one_out([PMV(p) for p in probs])]
+    cov = scale = 0.0
+    for c, p, x in zip(weights, probs, loo):
+        t = conv_matrix(PMV(x), p.size)
+        cov = cov + c * (t @ (np.diag(p) - np.outer(p, p)) @ t.T)
+        scale = scale + c * (t @ np.diag(p) @ t.T)
+    return cov, scale
+
+
+class TestFactor:
+    """``F F'`` against the per-variable assembly it replaces."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(weighted_pmvs())
+    def test_matches_per_variable_form(self, case):
+        probs, weights = case
+        want, scale = per_variable(probs, weights)
+        got = _weighted_cov(probs, weights)
+        # diag(p) - p p' itself cancels, so roundoff is relative to the
+        # uncancelled terms c_i T diag(p_i) T'
+        tol = want.shape[0] * np.finfo(float).eps * np.abs(scale).max()
+        assert np.abs(got - want).max() <= tol
+
+    def test_stack_matches_per_variable_form(self):
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            sizes = rng.integers(1, 6, size=int(rng.integers(1, 5)))
+            stack = []
+            for n in sizes:
+                p = rng.random((3, n)) * (rng.random((3, n)) > 0.2)
+                p[p.sum(axis=1) == 0.0, 0] = 1.0
+                stack.append(p / p.sum(axis=1, keepdims=True))
+            weights = rng.uniform(0.01, 1.0, sizes.size)
+            got = _weighted_cov(stack, weights)
+            for row in range(3):
+                want, scale = per_variable([p[row] for p in stack], weights)
+                tol = want.shape[0] * np.finfo(float).eps * scale.max()
+                assert np.abs(got[row] - want).max() <= tol
+
+    @pytest.mark.parametrize("cells", [[1], [2, 0, 1], [0, 3], [4]])
+    def test_point_masses_give_exact_zero(self, cells):
+        probs = [np.eye(c + 1)[c] for c in cells]
+        assert not _factor(probs).any()
+        assert not _weighted_cov(probs).any()
+        stack = [np.stack([p, p]) for p in probs]
+        assert not _weighted_cov(stack, [0.5] * len(probs)).any()

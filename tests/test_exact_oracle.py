@@ -4,7 +4,8 @@ Integer weights ``w_i`` give PMVs ``p_i = w_i / sum(w_i)`` whose
 leave-one-out PGFs and covariance are rational, so the gcd degree, the gcd
 coefficients and the covariance rank are computed here exactly with
 ``fractions.Fraction``, independently of the SVDs and the eigensolver
-under test.
+under test.  The oracle statistic is checked the same way, against the
+exact pseudo-inverse form of the normalized float PMVs.
 """
 
 from fractions import Fraction
@@ -12,7 +13,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from convstat import PMV, covariance_rank, ed_test, gcd_degree, gcd_many
+from convstat import (
+    PMV, covariance_rank, ed_test, gcd_degree, gcd_many, oracle_statistics,
+)
 
 
 def poly_mul(a, b):
@@ -74,6 +77,71 @@ def exact_rank(rows):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def pivot_columns(rows):
+    """Pivot columns of a rational matrix by Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
+    return pivots
+
+
+def solve(a, b):
+    """Solution of a nonsingular rational system by Gauss-Jordan."""
+    rows = [list(row) + [v] for row, v in zip(a, b)]
+    n = len(rows)
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for i in range(n):
+            if i != col and rows[i][col]:
+                f = rows[i][col] / rows[col][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def exact_psi(probs, weights):
+    """``sum_i c_i T(x_(i)) (diag p_i - p_i p_i') T(x_(i))'`` on Fractions."""
+    dim = sum(len(p) - 1 for p in probs) + 1
+    out = [[Fraction(0)] * dim for _ in range(dim)]
+    for c, p, loo in zip(weights, probs, leave_one_out(probs)):
+        cols = [[0] * j + loo + [0] * (len(p) - 1 - j) for j in range(len(p))]
+        z = [sum(col[a] * pj for col, pj in zip(cols, p)) for a in range(dim)]
+        for a in range(dim):
+            for b in range(dim):
+                out[a][b] += c * (sum(col[a] * col[b] * pj
+                                      for col, pj in zip(cols, p))
+                                  - z[a] * z[b])
+    return out
+
+
+def exact_pinv_form(cov, v):
+    """``v' cov^+ v`` of a symmetric rational matrix.
+
+    With ``B`` the pivot columns of ``cov`` (a basis of its range) and
+    ``a`` solving ``B'B a = B'v``, ``B a`` is the projection of ``v`` on the
+    range and ``y = a`` at the pivots solves ``cov y = B a``, so the form is
+    ``(B a)' y``.
+    """
+    pivots = pivot_columns(cov)
+    basis = [[row[j] for j in pivots] for row in cov]
+    gram = [[sum(row[i] * row[j] for row in basis) for j in range(len(pivots))]
+            for i in range(len(pivots))]
+    a = solve(gram, [sum(row[i] * x for row, x in zip(basis, v))
+                     for i in range(len(pivots))])
+    projected = [sum(b * ai for b, ai in zip(row, a)) for row in basis]
+    return sum(projected[j] * ai for j, ai in zip(pivots, a))
 
 
 def exact_cov_rank(sides):
@@ -202,3 +270,33 @@ def test_gcd_coefficients_match_exact(polys):
     assert out.degree == exact.size - 1
     assert np.max(np.abs(out.gcd_coeffs - exact)) < 1e-10
 
+
+
+@pytest.mark.parametrize("seed", [74, 95])
+def test_oracle_on_identical_pmvs_matches_exact(seed):
+    # Four identical degree-4 true PMVs: psi has rank 4 of 17 (the
+    # leave-one-out gcd is p^3).  A pseudo-inverse of the assembled matrix
+    # inverts its roundoff eigenvalues here: a value off by 10^8 at seed 74,
+    # a NumericalError at seed 95.
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.2, 1.0, 5)
+    p /= p.sum()
+    x = [rng.choice(5, int(n), p=p) for n in rng.integers(200, 301, size=4)]
+    gf, _ = oracle_statistics(x, [PMV(p)] * 4)
+
+    # the exact statistic of the normalized float PMV
+    exact_p = [Fraction(v) for v in p]
+    exact_p = [v / sum(exact_p) for v in exact_p]
+    sizes = [v.size for v in x]
+    m = min(sizes)
+    hats = [[Fraction(int(c), v.size) for c in np.bincount(v, minlength=5)]
+            for v in x]
+    conv_hat, conv_true = [1], [1]
+    for h in hats:
+        conv_hat = poly_mul(conv_hat, h)
+        conv_true = poly_mul(conv_true, exact_p)
+    cov = exact_psi([exact_p] * 4, [Fraction(m, n) for n in sizes])
+    want = m * exact_pinv_form(
+        cov, [a - b for a, b in zip(conv_hat, conv_true)])
+    assert gf.dof == 4
+    assert gf.statistic == pytest.approx(float(want), rel=1e-9)

@@ -374,6 +374,16 @@ class TestSubindTest:
         assert report.statistic == 0.0
         assert report.p_value == 1.0
 
+    @pytest.mark.parametrize("constant", [0, 2])
+    def test_one_varying_column_falls_back(self, constant):
+        # the row sums are the varying column shifted, so upsilon is zero
+        varying = np.random.default_rng(11).integers(0, 4, 40)
+        table = np.column_stack([np.full(40, constant), varying,
+                                 np.ones(40, dtype=int)])
+        report = subind_test(table)
+        assert report.fallback_used
+        assert report.statistic == 0.0
+
     def test_ragged_rejected(self):
         with pytest.raises(NotPaired):
             subind_test([[1, 2], [1]])

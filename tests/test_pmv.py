@@ -18,8 +18,11 @@ from convstat import (
     convolve,
     convolve_all,
     empirical_pmv,
+    gof_test,
     multinomial_cov,
+    subind_test,
 )
+from convstat.pmv import MAX_SUPPORT, _products
 
 
 def brute_force_sum_pmv(samples_per_var, s):
@@ -61,6 +64,18 @@ class TestPMV:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidPMV):
             PMV([np.nan, 1.0])
+
+    @pytest.mark.parametrize("bad, message", [
+        ([np.nan, 1.0], "must be finite"),
+        ([np.inf, 1.0], "must be finite"),
+        ([-np.inf, 1.0], "must be finite"),
+        ([-1.0, np.nan], "must be finite"),
+        ([1.1, -0.1], "must be nonnegative"),
+        ([0.0, 0.0], "must have positive sum"),
+    ])
+    def test_error_class_and_message(self, bad, message):
+        with pytest.raises(InvalidPMV, match=f"^PMV entries {message}$"):
+            PMV(bad)
 
     def test_small_drift_kept_exactly(self):
         vals = np.array([0.1, 0.2, 0.7])  # sums to 1 - 1ulp in binary
@@ -131,6 +146,18 @@ class TestEmpiricalPMV:
         with pytest.raises(InputError, match="1-D"):
             empirical_pmv([[0, 1], [1, 0]], 1)
 
+    @pytest.mark.parametrize("r", [MAX_SUPPORT + 1, 10**12])
+    def test_support_degree_above_cap_rejected(self, r):
+        # refused before the counts (8 * (r + 1) bytes) are allocated
+        with pytest.raises(SupportViolation, match="support degree r"):
+            empirical_pmv([0, 1], r)
+
+    def test_sample_maximum_above_cap_rejected(self):
+        with pytest.raises(SupportViolation, match="support degree r"):
+            gof_test([[0, 10**12], [0, 1]], [0.5, 0.5])
+        with pytest.raises(SupportViolation, match="support degree r"):
+            subind_test([[0, 1], [1, 0]], support_lens=[10**12, 1])
+
 
 class TestConvolve:
     def test_fair_coin_sum(self):
@@ -193,6 +220,15 @@ class TestConvolveAll:
     def test_empty_rejected(self):
         with pytest.raises(EmptyProduct):
             convolve_all([])
+
+    def test_pass_convolution_is_the_fold_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            probs = [rng.dirichlet(np.ones(int(rng.integers(1, 6))))
+                     for _ in range(int(rng.integers(1, 6)))]
+            loo, full = _products(probs)
+            assert np.array_equal(full, convolve_all(map(PMV, probs)).probs)
+            assert len(loo) == len(probs)
 
     def test_mle_identity_brute_force(self):
         # convolution of empirical PMVs equals the all-tuples enumeration
