@@ -24,15 +24,16 @@ import sys
 import numpy as np
 
 from . import simlab
-from .errors import ConvStatError, InputError, NumericalError
+from .errors import ConvStatError, InputError, LatticeViolation, NumericalError
 from .hyptest import (
     SampleSet,
+    _to_lattice_ints,
     canonicalize,
     ed_test,
     gof_test,
     subind_test,
 )
-from .pmv import PMV, _require_finite, empirical_pmv
+from .pmv import PMV, empirical_pmv
 from .polyrank import covariance_rank
 
 __all__ = ["main"]
@@ -251,12 +252,14 @@ def read_paired_file(path: str):
     except ValueError:
         lineno, message = _bad_line(lines, numbers, rows, describe)
         raise _fail(f"{path}:{lineno}: {message}") from None
-    _require_finite(table, path)
-    # 1e-9 forgives the decimal roundoff of an integer written as text
-    # (such as 3.0000000001); a fraction such as 0.5 is refused.
-    if np.any(np.abs(table - np.rint(table)) > 1e-9):
-        raise _fail(f"{path}: paired observations must be integers")
-    return np.rint(table).astype(np.int64), names
+    # The lattice of unit 1: its tolerance forgives the decimal roundoff of
+    # an integer written as text (such as 3.0000000001), while a fraction
+    # such as 0.5 is refused, and so is a value beyond 2**53; NaN and
+    # infinity raise DomainError.
+    try:
+        return _to_lattice_ints(table, 1.0, path)[0], names
+    except LatticeViolation:
+        raise _fail(f"{path}: paired observations must be integers") from None
 
 
 def _parse_pmv(text: str) -> PMV:
@@ -328,7 +331,7 @@ def cmd_ed(args) -> int:
 
 def cmd_subind(args) -> int:
     table, _ = read_paired_file(args.data)
-    if np.any(table < 0):
+    if table.min() < 0:
         raise _fail("paired observations must be nonnegative integers")
     report = subind_test(table, rank_policy=args.rank)
     _print_report(report, args.json)

@@ -32,12 +32,13 @@ from .errors import (
     DegenerateVariable,
     DimensionMismatch,
     EmptySizes,
+    InputError,
     NeedTwoVariables,
     NotPaired,
 )
 from .pmv import (
-    EmpiricalPMV, PMV, _conv_matrix, _products, _require_finite,
-    empirical_pmv, multinomial_cov,
+    MAX_SUPPORT, EmpiricalPMV, PMV, _BLOCK, _conv_matrix, _products,
+    _require_finite, _support_degree, empirical_pmv, multinomial_cov,
 )
 
 __all__ = [
@@ -179,27 +180,55 @@ def _paired_matrix(paired) -> np.ndarray:
         raise NotPaired("paired data must be a rectangular m x k table") from None
     if arr.dtype == object or arr.ndim != 2:
         raise NotPaired("paired data must be a rectangular m x k table")
+    if arr.dtype.kind not in "biuf":
+        raise NotPaired(f"paired data must be real numbers, got {arr.dtype}")
     _require_finite(arr, "paired data")
     if arr.shape[0] < 2:
         raise NotPaired(f"paired data needs m >= 2 rows, got {arr.shape[0]}")
     return arr
 
 
-def _column_pmv(column, r=None) -> EmpiricalPMV:
-    """Empirical PMV of one table column, from one contiguous copy."""
-    column = np.ascontiguousarray(column)
-    return empirical_pmv(column, int(column.max()) if r is None else r)
+def _column_failure(arr, support_lens):
+    """Raise the error of a table that failed a check of
+    :func:`_paired_estimates`, found on the whole table as ``empirical_pmv``
+    finds it, column by column, so neither the class nor the offender
+    depends on the block; with every column valid, the row sums' support
+    degree is out of range."""
+    lens = []
+    for j, r in enumerate(support_lens):
+        column = np.ascontiguousarray(arr[:, j])
+        r = int(column.max()) if r is None else r
+        lens.append(empirical_pmv(column, r).pmv.r)
+    _support_degree(sum(lens))
+
+
+def _from_counts(counts, r, n) -> EmpiricalPMV:
+    """Empirical PMV on ``{0, ..., r}`` of ``n`` observations with these
+    counts (no longer than ``r + 1``)."""
+    counts = _add_counts(np.zeros(r + 1, np.int64), counts)
+    return EmpiricalPMV(pmv=PMV(counts / n), n=n)
+
+
+def _add_counts(total, counts):
+    """Sum of two count vectors of any lengths; ``counts`` may be reused."""
+    if counts.size > total.size:
+        total, counts = counts, total
+    total[:counts.size] += counts
+    return total
 
 
 def _paired_estimates(arr, support_lens=None):
     """Column PMVs, row-sum PMV, ``upsilon_hat`` and the convolution of the
     column PMVs of an m x k table, from one ``pmv._products`` pass.
 
-    Each column is copied into contiguous memory once, for its support
-    length and its counts, and the copy is dropped before the next one.
-    The row sums add the columns: numpy reduces slowly over a short inner
-    axis, and the sums are exact for the integral values that pass
-    ``empirical_pmv``.
+    The table is read once, in blocks of ``_BLOCK`` rows: each column of a
+    block is copied into one int64 scratch vector, checked against its
+    support, counted and added into a row-sum scratch vector, which is
+    counted in turn.  So memory is two 256 KB scratch vectors and the
+    counts, however many rows the table has.
+    A block that fails a check sends the table to
+    :func:`_column_failure`, which raises what ``empirical_pmv`` raises on
+    the first bad column.
     """
     m, k = arr.shape
     if support_lens is None:
@@ -208,12 +237,39 @@ def _paired_estimates(arr, support_lens=None):
         raise DimensionMismatch(
             f"{len(support_lens)} support lengths for {k} columns"
         )
-    epmvs = [_column_pmv(arr[:, j], r) for j, r in enumerate(support_lens)]
-    # the dtype arr.sum(axis=1) would have: small integers widen
-    row_sums = np.zeros(m, dtype=arr[:0].sum(axis=1).dtype)
-    for j in range(k):
-        row_sums += arr[:, j]
-    z_hat = empirical_pmv(row_sums, sum(e.pmv.r for e in epmvs))
+    try:
+        caps = [MAX_SUPPORT if r is None else _support_degree(r)
+                for r in support_lens]
+    except InputError:
+        _column_failure(arr, support_lens)
+    rows = min(m, _BLOCK)
+    column, row_sums = np.empty(rows, np.int64), np.empty(rows, np.int64)
+    floats = arr.dtype.kind == "f"
+    counts = [np.zeros(0, np.int64) for _ in range(k)]
+    sum_counts = np.zeros(0, np.int64)
+    # support degrees: a given one, else the largest value seen so far
+    lens = [0 if r is None else cap for r, cap in zip(support_lens, caps)]
+    for start in range(0, m, rows):
+        block = arr[start:start + rows]
+        col, sums = column[:len(block)], row_sums[:len(block)]
+        for j in range(k):
+            np.copyto(col, block[:, j], casting="unsafe")
+            lo, hi = int(col.min()), int(col.max())
+            # a float table must hold integers: the cast changes nothing
+            if (lo < 0 or hi > caps[j]
+                    or floats and not np.array_equal(col, block[:, j])):
+                _column_failure(arr, support_lens)
+            counts[j] = _add_counts(counts[j], np.bincount(col))
+            lens[j] = max(lens[j], hi)
+            if j:
+                sums += col
+            else:
+                np.copyto(sums, col)
+        if sum(lens) > MAX_SUPPORT:  # before the row sums are counted
+            _column_failure(arr, support_lens)
+        sum_counts = _add_counts(sum_counts, np.bincount(sums))
+    epmvs = [_from_counts(c, r, m) for c, r in zip(counts, lens)]
+    z_hat = _from_counts(sum_counts, sum(lens), m)
     probs = [e.pmv.probs for e in epmvs]
     products = _products(probs)
     psi_m = _weighted_cov(probs, None, products)

@@ -32,8 +32,8 @@ from .errors import (
     ZeroExpected,
 )
 from .pmv import (
-    PMV, _integer, _integer_values, _products, _real, _require_finite,
-    empirical_pmv,
+    PMV, _BLOCK, _integer, _integer_values, _products, _real,
+    _require_finite, _support_degree, empirical_pmv,
 )
 from .polyrank import _numeric_rank, _rank_formula
 
@@ -55,6 +55,10 @@ __all__ = [
 # decimal roundoff of values written as text (1e-9 of a unit), while a
 # real off-lattice value such as 0.5 is far outside it.
 _LATTICE_TOL = 1e-9
+# Largest |value / zeta| accepted: above 2**53 neighbouring lattice points
+# are the same float, so the residual test cannot tell them apart.
+_MAX_LATTICE = 2**53
+_INT64_MAX = 2**63 - 1
 _EPS = float(np.finfo(float).eps)
 
 
@@ -186,18 +190,76 @@ def _report(statistic, dof, label, diagnostics, fallback_used=False):
     )
 
 
-def _to_lattice_ints(values, zeta, what):
-    scaled = np.asarray(values, dtype=float) / zeta
-    rounded = np.rint(scaled)
+def _lattice_failure(values, zeta, what, coeff):
+    """Raise the error of ``values`` that failed a block check of
+    :func:`_to_lattice_ints`, found on the whole array so that neither the
+    class nor the offender depends on the block: a non-finite value first
+    (``DomainError``), then a value off the lattice, then one more than
+    ``_MAX_LATTICE`` units from 0, and last a product with ``coeff`` or a
+    range of products that leaves int64 (each ``LatticeViolation``)."""
+    values = np.asarray(values, dtype=float)
+    scaled = values / zeta
     with np.errstate(invalid="ignore"):  # inf - inf: NaN, off the lattice
-        on_lattice = np.abs(scaled - rounded) <= _LATTICE_TOL
+        on_lattice = np.abs(scaled - np.rint(scaled)) <= _LATTICE_TOL
     if not np.all(on_lattice):
         _require_finite(scaled, what)
-        offender = np.asarray(values).ravel()[np.argmin(on_lattice)].item()
+        offender = values.ravel()[np.argmin(on_lattice)].item()
         raise LatticeViolation(
             f"{what}: value {offender!r} is not a multiple of zeta={zeta}"
         )
-    return rounded.astype(np.int64)
+    far = np.abs(scaled) > _MAX_LATTICE
+    if np.any(far):
+        offender = values.ravel()[np.argmax(far)].item()
+        raise LatticeViolation(
+            f"{what}: value {offender!r} lies more than 2**53 lattice units "
+            "from 0, where neighbouring lattice points are the same float"
+        )
+    raise LatticeViolation(
+        f"{what}: with coefficient {coeff} the lattice values leave the "
+        "int64 range"
+    )
+
+
+def _to_lattice_ints(values, zeta, what, coeff=1):
+    """``(coeff * values / zeta as int64, its min, its max)``.
+
+    The values go through in blocks of ``_BLOCK``: a block is divided by
+    ``zeta`` into one scratch buffer and rounded into a second, checked by
+    its largest residual (NaN fails it) and its range, then cast into its
+    slice of the result and multiplied by ``coeff`` in place.  So the
+    result is the only allocation that grows with the input.  A value off
+    the lattice (beyond ``_LATTICE_TOL``), more than ``_MAX_LATTICE`` units
+    from 0, or whose product or range leaves int64 raises (see
+    :func:`_lattice_failure`).
+    """
+    values = np.asarray(values, dtype=float)
+    out = np.empty(values.shape, dtype=np.int64)
+    flat, ints = values.reshape(-1), out.reshape(-1)
+    scratch = np.empty((2, min(flat.size, _BLOCK)))
+    # |x| * |coeff| must fit in int64, and a coefficient beyond it fails
+    limit = min(_MAX_LATTICE, _INT64_MAX // abs(coeff))
+    lows, highs = [], []
+    for start in range(0, flat.size, _BLOCK):
+        block = ints[start:start + _BLOCK]
+        scaled, rounded = scratch[:, :block.size]
+        np.divide(flat[start:start + _BLOCK], zeta, out=scaled)
+        np.rint(scaled, out=rounded)
+        with np.errstate(invalid="ignore"):  # inf - inf: NaN, off the lattice
+            scaled -= rounded
+        np.abs(scaled, out=scaled)
+        lo, hi = rounded.min(), rounded.max()
+        if not (scaled.max() <= _LATTICE_TOL and max(-lo, hi, 1) <= limit):
+            _lattice_failure(values, zeta, what, coeff)
+        block[...] = rounded
+        if coeff != 1:
+            block *= coeff
+        lows.append(int(lo))
+        highs.append(int(hi))
+    lo, hi = sorted((coeff * min(lows, default=0),
+                     coeff * max(highs, default=0)))
+    if hi - lo > _INT64_MAX:
+        _lattice_failure(values, zeta, what, coeff)
+    return out, lo, hi
 
 
 def canonicalize(raw: SampleSet) -> CanonicalSamples:
@@ -205,18 +267,23 @@ def canonicalize(raw: SampleSet) -> CanonicalSamples:
 
     Each variable is mapped by ``a_i * (value / zeta)`` and shifted by its
     observed minimum; the shifts and the mapped global offset add up to
-    ``total_offset``.  Values off the lattice raise ``LatticeViolation``.
+    ``total_offset``.  Values off the lattice, more than 2**53 lattice
+    units from 0, or whose mapped values leave int64 raise
+    ``LatticeViolation``.  The work is blocked (:func:`_to_lattice_ints`),
+    so memory is the int64 outputs, 8 bytes a value, plus two 256 KB
+    scratch blocks, and each input is read from RAM once.
     """
     shifted = []
     lens = []
-    total = int(_to_lattice_ints([raw.offset], raw.zeta, "offset a_0")[0])
+    total = int(_to_lattice_ints([raw.offset], raw.zeta, "offset a_0")[1])
     for name, values, a_i in zip(raw.names, raw.variables, raw.coeffs):
-        mapped = a_i * _to_lattice_ints(values, raw.zeta, f"variable {name}")
-        tau = int(mapped.min())
-        mapped = mapped - tau
+        mapped, tau, top = _to_lattice_ints(values, raw.zeta,
+                                            f"variable {name}", a_i)
+        if tau:
+            mapped -= tau
         total += tau
         shifted.append(mapped)
-        lens.append(int(mapped.max()))
+        lens.append(top - tau)
     return CanonicalSamples(
         variables=tuple(shifted),
         total_offset=total,
@@ -434,6 +501,7 @@ def pearson_gof(sums, z, on_zero_expected: str = "error") -> TestReport:
         raise SupportViolation("summed observations must be nonnegative")
     z = z if isinstance(z, PMV) else PMV(z)
     m = values.size
+    _support_degree(values.max())
     counts = np.bincount(values.astype(np.int64), minlength=z.support_len)
     positive = z.probs > 0.0
     dof = max(1, z.support_len - 1)
@@ -477,7 +545,7 @@ def pearson_ed(x_sums, y_sums) -> TestReport:
     yv = _integer_values(yv, "summed observations")
     if xv.min() < 0 or yv.min() < 0:
         raise SupportViolation("summed observations must be nonnegative")
-    top = int(max(xv.max(), yv.max()))
+    top = _support_degree(max(xv.max(), yv.max()))
     cx = np.bincount(xv.astype(np.int64), minlength=top + 1)
     cy = np.bincount(yv.astype(np.int64), minlength=top + 1)
     empty = int(np.sum(cx + cy == 0))

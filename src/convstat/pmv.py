@@ -39,6 +39,11 @@ __all__ = [
 # 8 * (r + 1) bytes, so an absurd r is refused before anything is allocated.
 MAX_SUPPORT = 2**24
 
+# Elements per block of the passes over bulk data (canonicalization, the
+# paired-table counts, the simulation's uniform draws): one float64 block
+# is 256 KB, so a block and its scratch stay in cache.
+_BLOCK = 2**15
+
 # Drift beyond this triggers renormalization; within it, entries are kept
 # bit-for-bit so exact-equality tests on convolutions stay exact.
 _SUM_TOL = 1e-12
@@ -154,11 +159,7 @@ def empirical_pmv(samples, r: int) -> EmpiricalPMV:
     if values.size == 0:
         raise EmptySample("no observations supplied")
     values = _integer_values(values, "observations")
-    r = _integer("support degree r", r)
-    if not 0 <= r <= MAX_SUPPORT:
-        raise SupportViolation(
-            f"support degree r must lie in 0..{MAX_SUPPORT}, got {r}"
-        )
+    r = _support_degree(r)
     if values.min() < 0 or values.max() > r:
         raise SupportViolation(
             f"observations must lie in {{0, ..., {r}}}; "
@@ -169,10 +170,26 @@ def empirical_pmv(samples, r: int) -> EmpiricalPMV:
     return EmpiricalPMV(pmv=PMV(counts / n), n=int(n))
 
 
+def _support_degree(r) -> int:
+    """``r`` as an int in ``0..MAX_SUPPORT``: a fraction raises
+    ``InputError`` and a value outside the range ``SupportViolation``."""
+    r = _integer("support degree r", r)
+    if not 0 <= r <= MAX_SUPPORT:
+        raise SupportViolation(
+            f"support degree r must lie in 0..{MAX_SUPPORT}, got {r}"
+        )
+    return r
+
+
 def _require_finite(values, what: str) -> None:
-    """Raise ``DomainError`` when a float array holds NaN or infinity."""
+    """Raise ``DomainError`` when a float array holds NaN or infinity.
+
+    The test is two reductions, since NaN or an infinity shows in the
+    minimum or the maximum; the offender is looked up only on failure.
+    """
     values = np.asarray(values)
-    if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
+    if values.dtype.kind == "f" and values.size and not (
+            np.isfinite(values.min()) and np.isfinite(values.max())):
         offender = values.ravel()[np.argmin(np.isfinite(values.ravel()))]
         raise DomainError(f"{what}: non-finite value {offender}")
 

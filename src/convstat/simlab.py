@@ -30,8 +30,9 @@ stream; the keys, and so the draws, are those of a fresh
 Replicates are drawn a block at a time: each variable's uniforms go row by
 row into one preallocated ``(rows, n_i)`` buffer, and the block is counted
 with one comparison and one row-wise count per count column.  The three
-buffers together hold at most ``_DRAW_DOUBLES`` values, or one replicate
-when that is more, so memory does not grow with ``L``.
+buffers together hold at most ``_DRAW_DOUBLES`` values (the package's bulk
+block size ``pmv._BLOCK``), or one replicate when that is more, so memory
+does not grow with ``L``.
 ``sample_scenario`` draws through the same path, one row.
 """
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import covest, hyptest, symlin
 from .errors import InputError, ModelDegenerate
-from .pmv import PMV, _convolve, _integer, _real
+from .pmv import PMV, _BLOCK as _DRAW_DOUBLES, _convolve, _integer, _real
 
 __all__ = [
     "ALL_STATISTICS",
@@ -70,10 +71,6 @@ ALL_STATISTICS = (
 
 # A stream key holds ``(replicate << 2) | variable`` in 64 bits.
 _MAX_REPLICATES = 2 ** 62
-
-# The uniform buffers of one draw block hold this many doubles in all
-# (256 KB), or one replicate's draws when those are more.
-_DRAW_DOUBLES = 2 ** 15
 
 
 @dataclass(frozen=True)
