@@ -9,7 +9,8 @@ where ``x_(i)`` is the convolution of all PMVs except the i-th, ``S`` is
 the multinomial covariance and ``c_i = m / n_i`` weights unequal sample
 sizes by the smallest one.  This module assembles that matrix from true
 PMVs (``psi``/``xi``) and from data (``psi_hat``/``xi_hat``), plus the
-sub-independence covariance ``upsilon_hat``.
+sub-independence covariance ``upsilon_hat``; the tests, ``covariance_rank``
+and the simulation read every side sum from one estimate, ``_estimate``.
 
 Every assembly is ``F F'`` (``_weighted_cov``) of one stacked factor
 (``_factor``)
@@ -107,6 +108,31 @@ def _weighted_cov(probs, weights=None, products=None) -> np.ndarray:
     """
     f = _factor(probs, weights, products)
     return f @ np.swapaxes(f, -1, -2)
+
+
+def _pad(a, size: int, axes: int) -> np.ndarray:
+    """Zero-pad the last ``axes`` axes of ``a`` to ``size``."""
+    width = size - a.shape[-1]
+    if not width:
+        return a
+    return np.pad(a, [(0, 0)] * (a.ndim - axes) + [(0, width)] * axes)
+
+
+def _estimate(sides, weights, size):
+    """``(convolutions, covariance, leave-one-out lists)`` of sides of
+    probability arrays ``(..., r_i + 1)``, from one ``pmv._products`` pass
+    per side; ``weights`` holds the ``c_i`` in side order.  Each side's
+    convolution and the sum of the sides' covariances are zero-padded to
+    ``size`` cells."""
+    weights = iter(weights)
+    convs, cov, loos = [], 0.0, []
+    for side in sides:
+        loo, conv = products = _products(side)
+        loos.append(loo)
+        convs.append(_pad(conv, size, 1))
+        side_weights = [next(weights) for _ in side]
+        cov = cov + _pad(_weighted_cov(side, side_weights, products), size, 2)
+    return convs, cov, loos
 
 
 def _true_probs(pmvs, k_min: int, name: str) -> list:
@@ -219,7 +245,7 @@ def _add_counts(total, counts):
 
 def _paired_estimates(arr, support_lens=None):
     """Column PMVs, row-sum PMV, ``upsilon_hat`` and the convolution of the
-    column PMVs of an m x k table, from one ``pmv._products`` pass.
+    column PMVs of an m x k table, the estimate from :func:`_estimate`.
 
     The table is read once, in blocks of ``_BLOCK`` rows: each column of a
     block is copied into one int64 scratch vector, checked against its
@@ -270,10 +296,9 @@ def _paired_estimates(arr, support_lens=None):
         sum_counts = _add_counts(sum_counts, np.bincount(sums))
     epmvs = [_from_counts(c, r, m) for c, r in zip(counts, lens)]
     z_hat = _from_counts(sum_counts, sum(lens), m)
-    probs = [e.pmv.probs for e in epmvs]
-    products = _products(probs)
-    psi_m = _weighted_cov(probs, None, products)
-    return epmvs, z_hat, multinomial_cov(z_hat.pmv) - psi_m, products[1]
+    (conv,), psi_m, _ = _estimate([[e.pmv.probs for e in epmvs]], np.ones(k),
+                                  z_hat.pmv.support_len)
+    return epmvs, z_hat, multinomial_cov(z_hat.pmv) - psi_m, conv
 
 
 def upsilon_hat(paired, support_lens=None) -> np.ndarray:

@@ -562,37 +562,6 @@ def pearson_ed(x_sums, y_sums) -> TestReport:
     })
 
 
-def _pad(a: np.ndarray, size: int) -> np.ndarray:
-    """Zero-pad a vector or a square matrix to ``size`` along every axis."""
-    if a.shape[0] == size:
-        return a
-    out = np.zeros((size,) * a.ndim)
-    out[tuple(slice(0, n) for n in a.shape)] = a
-    return out
-
-
-def _estimate(sides, size):
-    """``(m, convolutions, covariance, leave-one-out lists)`` of sides of
-    empirical PMVs, from one ``pmv._products`` pass per side.
-
-    ``m`` is the smallest sample size and sets the weights ``m / n_i``;
-    each side's convolution and the sum of the sides' weighted covariance
-    estimates are zero-padded to ``size`` cells.
-    """
-    sizes = [e.n for side in sides for e in side]
-    weights = iter(covest.weights_from_sizes(sizes))
-    convs, cov, loos = [], 0.0, []
-    for side in sides:
-        probs = [e.pmv.probs for e in side]
-        loo, conv = products = _products(probs)
-        loos.append(loo)
-        convs.append(_pad(conv, size))
-        side_weights = [next(weights) for _ in side]
-        cov = cov + _pad(covest._weighted_cov(probs, side_weights, products),
-                         size)
-    return min(sizes), convs, cov, loos
-
-
 def _base_diagnostics(dec=None, m=None, warnings=None, **extra) -> dict:
     d = {"warnings": warnings if warnings is not None else []}
     if dec is not None:
@@ -656,7 +625,10 @@ def gof_test(x, z, rank_policy="analytic", support_lens=None) -> TestReport:
             f"z has {z.support_len} cells but the combined support has "
             f"{s + 1}"
         )
-    m, (conv,), psi_m, loos = _estimate([epmvs], s + 1)
+    sizes = [e.n for e in epmvs]
+    (conv,), psi_m, loos = covest._estimate(
+        [[e.pmv.probs for e in epmvs]], covest.weights_from_sizes(sizes), s + 1)
+    m = min(sizes)
     if np.any((z.probs == 0.0) & (conv > 0.0)):
         raise ZeroExpected(
             "z has zero cells where the observed convolution has mass"
@@ -721,7 +693,11 @@ def ed_test(
             f"support degrees differ ({s_x} vs {s_y}); shorter side zero-"
             "padded"
         )
-    m, (conv_x, conv_y), total, loos = _estimate([x_epmvs, y_epmvs], s + 1)
+    sizes = [e.n for e in x_epmvs + y_epmvs]
+    (conv_x, conv_y), total, loos = covest._estimate(
+        [[e.pmv.probs for e in side] for side in (x_epmvs, y_epmvs)],
+        covest.weights_from_sizes(sizes), s + 1)
+    m = min(sizes)
 
     if not total.any():
         x_sums, x_disc = paired_sums(x_arrays)
@@ -799,6 +775,25 @@ def subind_test(paired, rank_policy=None, support_lens=None) -> TestReport:
                    _base_diagnostics(dec=dec, m=m, warnings=warnings))
 
 
+def _whitener(sides, weights):
+    """``(W, sigma, products)``: one SVD ``U diag(sigma) V'`` of ``F``, the
+    sides' ``covest._factor`` blocks side by side, and ``W = U_r
+    diag(1 / sigma_r)`` over ``sigma > max(shape) * eps * sigma_max``.
+
+    ``W W'`` is the pseudo-inverse of the true covariance ``F F'``, so the
+    oracle statistic of a deviation ``v`` is ``||v W||^2``.  ``sides`` hold
+    probability arrays, ``weights`` the ``c_i`` in side order, and
+    ``products`` is each side's ``pmv._products`` pair.
+    """
+    weights = iter(weights)
+    products = [_products(side) for side in sides]
+    factor = np.hstack([covest._factor(side, [next(weights) for _ in side], pair)
+                        for side, pair in zip(sides, products)])
+    u, sv, _ = np.linalg.svd(factor, full_matrices=False)
+    keep = symlin._above_cut(sv, max(factor.shape) * _EPS)
+    return u[:, keep] / sv[keep], sv, products
+
+
 def oracle_statistics(
     x,
     x_pmvs,
@@ -811,70 +806,51 @@ def oracle_statistics(
     """Statistics computed with the true covariance matrices.
 
     For simulation use: ``x_pmvs`` (and ``y_pmvs``) are the known data
-    distributions, so no covariance estimation takes place and the full
-    Moore-Penrose pseudo-inverse of the true matrix is applied, from one
-    SVD of its factor (``covest._factor``).  Returns a
-    ``(gof_report, ed_report)`` pair; the second is None without a y side.
-    Default dof is the analytic rank of the true covariance, or its numeric
-    rank when a true PMV has zero cells; ``dof_gf`` / ``dof_ed`` must be
-    integers.
+    distributions, so no covariance estimation takes place: a deviation
+    ``v`` gives ``||v W||^2`` with the whitener ``W`` of the true
+    covariance (:func:`_whitener`), its Moore-Penrose pseudo-inverse form.
+    Returns a ``(gof_report, ed_report)`` pair; the second is None without
+    a y side, and ``y`` and ``y_pmvs`` come together.  Default dof is the
+    analytic rank of the true covariance, or its numeric rank when a true
+    PMV has zero cells; ``dof_gf`` / ``dof_ed`` must be integers in
+    ``1..max(1, s)``.
     """
-    dof_gf = None if dof_gf is None else _integer("dof_gf", dof_gf)
-    dof_ed = None if dof_ed is None else _integer("dof_ed", dof_ed)
-    x_pmvs = [p if isinstance(p, PMV) else PMV(p) for p in x_pmvs]
-    x_arrays, _, _, _ = _coerce_samples(x, [p.r for p in x_pmvs])
-    x_epmvs = [empirical_pmv(v, p.r) for v, p in zip(x_arrays, x_pmvs)]
-    sizes = [e.n for e in x_epmvs]
-
-    y_epmvs = None
-    if y is not None:
-        if y_pmvs is None:
-            raise InputError("oracle_statistics needs y_pmvs when y is given")
-        y_pmvs = [p if isinstance(p, PMV) else PMV(p) for p in y_pmvs]
-        y_arrays, _, _, _ = _coerce_samples(y, [p.r for p in y_pmvs])
-        y_epmvs = [empirical_pmv(v, p.r) for v, p in zip(y_arrays, y_pmvs)]
-        sizes += [e.n for e in y_epmvs]
-
+    x_pmvs = covest._as_pmvs(x_pmvs)
+    s = sum(p.r for p in x_pmvs)
+    dof_gf, dof_ed = (None if d is None else _parse_policy(_integer(k, d), s)[1]
+                      for k, d in (("dof_gf", dof_gf), ("dof_ed", dof_ed)))
+    if (y is None) != (y_pmvs is None):
+        raise InputError("oracle_statistics needs y and y_pmvs together")
+    sides = [x_pmvs] if y is None else [x_pmvs, covest._as_pmvs(y_pmvs)]
+    if sum(p.r for p in sides[-1]) != s:
+        raise SupportMismatch("x and y sides have different support degrees")
+    hats = [[empirical_pmv(v, p.r) for v, p in
+             zip(_coerce_samples(data, [p.r for p in side])[0], side)]
+            for data, side in zip((x, y), sides)]
+    sizes = [e.n for side in hats for e in side]
     m = min(sizes)
     weights = covest.weights_from_sizes(sizes)
-
-    def report(vec, factor, dof, pmv_sides, loos):
-        """Oracle report: ``||Sigma_r^-1 U_r' v||^2`` from one SVD of the
-        true covariance's factor, with the singular-value cut
-        ``max(shape) * eps * sigma_max``; dof defaults to the analytic,
-        else the numeric, rank."""
-        u, sv, _ = np.linalg.svd(factor, full_matrices=False)
-        if dof is None:
-            dof = _rank_formula(pmv_sides, loos).analytic
-        if dof is None:
-            dof = _numeric_rank(sv * sv)
-        keep = symlin._above_cut(sv, max(factor.shape) * _EPS)
-        proj = (vec @ u[:, keep]) / sv[keep]
-        return _report(float(proj @ proj), dof, "oracle",
-                       {"warnings": [], "m": int(m)})
-
-    x_probs = covest._true_probs(x_pmvs, 2, "psi")
-    x_loo, x_conv = x_products = _products(x_probs)
-    f_x = covest._factor(x_probs, weights[: len(x_epmvs)], x_products)
-    z = PMV(x_conv) if z is None else (z if isinstance(z, PMV) else PMV(z))
-    conv_x = _products([e.pmv.probs for e in x_epmvs])[1]
+    true = [covest._true_probs(side, k_min, name) for side, k_min, name
+            in zip(sides, (2, 1), ("psi", "xi"))]
+    conv_x, *conv_y = [_products([e.pmv.probs for e in side])[1]
+                       for side in hats]
+    z = PMV(_products(true[0])[1]) if z is None else covest._as_pmvs([z])[0]
     if z.support_len != conv_x.size:
         raise SupportMismatch(
             f"z has {z.support_len} cells, expected {conv_x.size}"
         )
-    gf = report(math.sqrt(m) * (conv_x - z.probs), f_x, dof_gf, [x_pmvs],
-                [x_loo])
-    if y_epmvs is None:
-        return gf, None
 
-    y_probs = covest._true_probs(y_pmvs, 1, "xi")
-    y_products = _products(y_probs)
-    f_y = covest._factor(y_probs, weights[len(x_epmvs):], y_products)
-    if f_y.shape[0] != f_x.shape[0]:
-        raise SupportMismatch(
-            "x and y sides have different total support degrees"
-        )
-    conv_y = _products([e.pmv.probs for e in y_epmvs])[1]
-    ed = report(math.sqrt(m) * (conv_x - conv_y), np.hstack([f_x, f_y]),
-                dof_ed, [x_pmvs, y_pmvs], [x_loo, y_products[0]])
-    return gf, ed
+    def report(vec, k, dof):
+        """Report of the first ``k`` sides; dof: analytic, else numeric."""
+        w, sv, products = _whitener(true[:k], weights)
+        if dof is None:
+            dof = _rank_formula(sides[:k], [loo for loo, _ in products]).analytic
+        if dof is None:
+            dof = _numeric_rank(sv * sv)
+        return _report(float(np.square(vec @ w).sum()), dof, "oracle",
+                       {"warnings": [], "m": int(m)})
+
+    gf = report(math.sqrt(m) * (conv_x - z.probs), 1, dof_gf)
+    if y is None:
+        return gf, None
+    return gf, report(math.sqrt(m) * (conv_x - conv_y[0]), 2, dof_ed)

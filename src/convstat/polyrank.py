@@ -258,20 +258,20 @@ def covariance_rank(x_pmvs, y_pmvs=None) -> RankReport:
     sides = [covest._as_pmvs(x_pmvs)]
     if not sides[0]:
         raise NeedTwoVariables("covariance_rank requires at least one PMV")
+    s = sum(p.r for p in sides[0])
     if y_pmvs is not None:
         sides.append(covest._as_pmvs(y_pmvs))
         if not sides[1]:
             raise NeedTwoVariables("y side must contain at least one PMV")
-        s_x, s_y = (sum(p.r for p in side) for side in sides)
-        if s_y != s_x:
+        s_y = sum(p.r for p in sides[1])
+        if s_y != s:
             raise DimensionMismatch(
-                f"total support degree differs between sides: {s_x} vs {s_y}"
+                f"total support degree differs between sides: {s} vs {s_y}"
             )
-    probs = [[p.probs for p in side] for side in sides]
-    products = [_products(side) for side in probs]
-    formula = _rank_formula(sides, [loo for loo, _ in products])
-    dec = symlin.eigh(sum(covest._weighted_cov(side, None, pair)
-                          for side, pair in zip(probs, products)))
+    _, cov, loos = covest._estimate([[p.probs for p in side] for side in sides],
+                                    np.ones(sum(map(len, sides))), s + 1)
+    formula = _rank_formula(sides, loos)
+    dec = symlin.eigh(cov)
     return RankReport(
         s=formula.s,
         analytic_rank=formula.analytic,

@@ -8,16 +8,18 @@ reports rejection proportions at level ``alpha``.
 Statistic identifiers follow the benchmark naming: ``C1_GF``/``C2_GF``
 are the convolution statistics with fixed rank 1/2 (falling back to
 Pearson when the covariance estimate is the zero matrix), ``Z1``/``Z2``
-use the true covariance pseudo-inverse, and ``P`` is Pearson's
+are the oracle statistics of the true covariance, and ``P`` is Pearson's
 chi-squared; the ``_GF``/``_ED`` suffix selects goodness-of-fit against
 ``z(rho)`` or equality in distribution against the third sample.
 
-Every statistic comes from the library core (``covest``'s covariance
-assembly, ``hyptest``'s Wald form and Pearson sums): each replicate is
-reduced to its counts, and a block of replicates is evaluated as one
-stack, in chunks of constant size.  The simulation differs from
-``gof_test`` in one input check only: a hypothesis z with a zero cell
-(rho = 1) is used as is instead of raising ``ZeroExpected``.
+Every statistic comes from the library core: C from ``covest._estimate``
+and ``hyptest``'s Wald form, Z from the factor SVD that
+``oracle_statistics`` reads (``hyptest._whitener``), P from ``hyptest``'s
+Pearson sums.  Each replicate is reduced to its counts, and a block of
+replicates is evaluated as one stack, in chunks of constant size.  The
+simulation differs from ``gof_test`` in one input check only: a
+hypothesis z with a zero cell (rho = 1) is used as is instead of raising
+``ZeroExpected``.
 
 Each variable of each replicate draws from its own counter-based (Philox)
 stream, keyed by (seed, replicate, variable), so parallel and serial runs
@@ -47,7 +49,7 @@ import numpy as np
 
 from . import covest, hyptest, symlin
 from .errors import InputError, ModelDegenerate
-from .pmv import PMV, _BLOCK as _DRAW_DOUBLES, _convolve, _integer, _real
+from .pmv import PMV, _BLOCK as _DRAW_DOUBLES, _integer, _real
 
 __all__ = [
     "ALL_STATISTICS",
@@ -255,7 +257,13 @@ _CHUNK = 1024
 
 
 class _Context:
-    """Per-scenario precomputation shared by every replicate."""
+    """Per-scenario precomputation shared by every replicate.
+
+    With a Z statistic requested, ``whiteners`` holds the GF and ED
+    whiteners ``W`` of the true covariances (``hyptest._whitener``), and
+    ``psi_pinv`` / ``total_pinv`` their ``W W'``, the pseudo-inverses that
+    the limiting-distribution checks read.
+    """
 
     def __init__(self, scn: SimScenario):
         self.scn = scn
@@ -267,18 +275,11 @@ class _Context:
         self.crit = np.array([math.inf, _chi2_critical(scn.alpha, 1),
                               _chi2_critical(scn.alpha, 2)])
         if any(sid.startswith("Z") for sid in scn.statistics):
-            # The oracle (Z) statistics use the true covariances; the
-            # pseudo-inverses are what the limiting-distribution checks
-            # read.
-            psi_true = covest.psi([PMV([1.0 - scn.p, scn.p]),
-                                   PMV([1.0 - scn.q, scn.q])],
-                                  self.weights[:2])
-            total_true = psi_true + covest.xi([PMV(self.z_hyp)],
-                                              self.weights[2:])
-            self.true_decs = {"GF": symlin.eigh(psi_true),
-                              "ED": symlin.eigh(total_true)}
-            self.psi_pinv = symlin.pinv(psi_true)
-            self.total_pinv = symlin.pinv(total_true)
+            x_true = [np.array([1.0 - b, b]) for b in (scn.p, scn.q)]
+            gf, ed = (hyptest._whitener(sides, self.weights)[0]
+                      for sides in ([x_true], [x_true, [self.z_hyp]]))
+            self.whiteners = {"GF": gf, "ED": ed}
+            self.psi_pinv, self.total_pinv = gf @ gf.T, ed @ ed.T
 
 
 def _sample_counts(scn: SimScenario, m: int, start: int, stop: int):
@@ -317,33 +318,30 @@ def _block_statistics(ctx: _Context, start: int, stop: int) -> dict:
     ones, sum_counts, y_counts = _sample_counts(scn, ctx.m, start, stop)
     x_probs = [np.stack([n - k, k], axis=-1) / n
                for n, k in zip((scn.n1, scn.n2), ones.T)]
-    y_hat = y_counts / scn.n3
-    conv = _convolve(*x_probs)
     none = np.zeros(stop - start, dtype=bool)
     stats = {
         "P_GF": (hyptest._pearson_gof_stat(sum_counts, ctx.z_hyp), 2, none),
         "P_ED": (*hyptest._pearson_ed_stat(sum_counts, y_counts), none),
     }
-    deviations = {"GF": ctx.sqrt_m * (conv - ctx.z_hyp),
-                  "ED": ctx.sqrt_m * (conv - y_hat)}
-    if wanted & {"C1_GF", "C2_GF", "C1_ED", "C2_ED"}:
-        psi = covest._weighted_cov(x_probs, ctx.weights[:2])
-    for fam, vec in deviations.items():
-        if wanted & {f"C1_{fam}", f"C2_{fam}"}:
+    y_hat = y_counts / scn.n3
+    for fam, sides, hyp in (("GF", [x_probs], ctx.z_hyp),
+                            ("ED", [x_probs, [y_hat]], y_hat)):
+        c_ids, z_ids = {f"C1_{fam}", f"C2_{fam}"}, {f"Z1_{fam}", f"Z2_{fam}"}
+        if not wanted & (c_ids | z_ids):
+            continue
+        convs, cov, _ = covest._estimate(sides, ctx.weights, 3)
+        vec = ctx.sqrt_m * (convs[0] - hyp)
+        if wanted & c_ids:
             # Fixed rank 1 and 2; Pearson where the estimate is zero.
-            cov = psi
-            if fam == "ED":
-                cov = psi + covest._weighted_cov([y_hat], ctx.weights[2:])
             dec = symlin.eigh(cov)
             fallback = ~cov.any(axis=(-2, -1))
             for r in (1, 2):
                 value = np.where(fallback, stats[f"P_{fam}"][0],
                                  hyptest._psd_wald(vec, dec, r))
                 stats[f"C{r}_{fam}"] = (value, r, fallback)
-        if wanted & {f"Z1_{fam}", f"Z2_{fam}"}:
-            z = hyptest._psd_wald(vec, ctx.true_decs[fam], 3)
-            stats[f"Z1_{fam}"] = (z, 1, none)
-            stats[f"Z2_{fam}"] = (z, 2, none)
+        if wanted & z_ids:
+            z = np.square(vec @ ctx.whiteners[fam]).sum(axis=-1)
+            stats.update({f"Z{r}_{fam}": (z, r, none) for r in (1, 2)})
     return stats
 
 

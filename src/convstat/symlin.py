@@ -8,8 +8,8 @@ construction, so their zero eigenvalues come out as roundoff of either
 sign at that scale, and every rank or pseudo-inverse cut is taken
 relative to the largest magnitude.  That cut, ``|x| > tol * max|x|``, is
 made in one place, :func:`_above_cut`; the pseudo-inverse here, the Wald
-forms and fixed-rank check in :mod:`convstat.hyptest`, and the
-eigenvalue, singular-value and trailing-coefficient cuts in
+forms, fixed-rank check and oracle whitener in :mod:`convstat.hyptest`,
+and the eigenvalue, singular-value and trailing-coefficient cuts in
 :mod:`convstat.polyrank` all read it.
 """
 

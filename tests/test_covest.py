@@ -21,7 +21,7 @@ from convstat import (
     xi,
     xi_hat,
 )
-from convstat.covest import _factor, _weighted_cov
+from convstat.covest import _estimate, _factor, _weighted_cov
 from convstat.pmv import conv_matrix
 from convstat.polyrank import leave_one_out
 
@@ -284,3 +284,59 @@ class TestFactor:
         assert not _weighted_cov(probs).any()
         stack = [np.stack([p, p]) for p in probs]
         assert not _weighted_cov(stack, [0.5] * len(probs)).any()
+
+
+class TestEstimate:
+    """``_estimate``: one pass per side, stacks and zero padding."""
+
+    @staticmethod
+    def stack(rng, rows, cells):
+        p = rng.random((rows, cells))
+        return p / p.sum(axis=1, keepdims=True)
+
+    @staticmethod
+    def row(a, i):
+        # a one-variable side's leave-one-out entry is the unstacked (1,)
+        return a[i] if a.ndim > 1 else a
+
+    def assert_rows_equal(self, sides, weights, size):
+        convs, cov, loos = _estimate(sides, weights, size)
+        for i in range(cov.shape[0]):
+            one = _estimate([[p[i] for p in side] for side in sides],
+                            weights, size)
+            assert all(np.array_equal(c[i], d) for c, d in zip(convs, one[0]))
+            assert np.array_equal(cov[i], one[1])
+            assert all(np.array_equal(self.row(a, i), b)
+                       for loo, want in zip(loos, one[2])
+                       for a, b in zip(loo, want))
+
+    # Bit for bit where every convolution cell sums at most two products
+    # (one operand of two cells, as in the simulation): with three or more
+    # np.convolve on vectors and the stacked loop add them in other orders.
+    @pytest.mark.parametrize("x_cells,y_cells", [
+        ((2, 2), None), ((2, 3), None), ((2, 2), 3), ((2, 2), 5),
+    ])
+    def test_stack_rows_equal_unstacked_calls(self, x_cells, y_cells):
+        rng = np.random.default_rng(sum(x_cells) + (y_cells or 0))
+        sides = [[self.stack(rng, 16, c) for c in x_cells]]
+        if y_cells:
+            sides.append([self.stack(rng, 16, y_cells)])
+        weights = rng.uniform(0.1, 1.0, sum(map(len, sides)))
+        size = max(sum(p.shape[-1] - 1 for p in side) for side in sides) + 1
+        self.assert_rows_equal(sides, weights, size)
+
+    def test_padded_call_is_the_padded_sides(self):
+        # s_x = 2 < s_y = 4: the x side's convolution and covariance are
+        # zero-padded to five cells before the sides' covariances add
+        x = [np.array([0.3, 0.7]), np.array([0.6, 0.4])]
+        y = [np.array([0.1, 0.2, 0.3, 0.15, 0.25])]
+        weights = [0.5, 1.0, 0.8]
+        convs, cov, loos = _estimate([x, y], weights, 5)
+        (conv_x,), cov_x, loo_x = _estimate([x], weights[:2], 3)
+        (conv_y,), cov_y, loo_y = _estimate([y], weights[2:], 5)
+        assert np.array_equal(convs[0], np.pad(conv_x, (0, 2)))
+        assert np.array_equal(convs[1], conv_y)
+        assert np.array_equal(cov, np.pad(cov_x, (0, 2)) + cov_y)
+        assert cov.shape == (5, 5) and convs[0].shape == (5,)
+        for got, want in zip(loos, loo_x + loo_y):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))

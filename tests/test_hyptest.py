@@ -438,6 +438,30 @@ class TestOracleStatistics:
         assert ed.dof == 2
         assert ed.statistic >= 0.0
 
+    @pytest.mark.parametrize("key,dof", [
+        ("dof_gf", 50), ("dof_gf", 0), ("dof_gf", -1), ("dof_ed", 3),
+    ])
+    def test_dof_outside_one_to_s_refused_before_any_work(self, key, dof):
+        # s = 2; the samples lie outside the PMVs' support, so reading them
+        # first would raise SupportViolation instead
+        with pytest.raises(RankOutOfRange, match=r"outside 1\.\.2"):
+            oracle_statistics([[0, 5], [0, 1]],
+                              [PMV([0.5, 0.5]), PMV([0.5, 0.5])],
+                              y=[[0, 1, 2]], y_pmvs=[PMV([0.25, 0.5, 0.25])],
+                              **{key: dof})
+
+    def test_dof_at_the_ends_of_the_range_accepted(self):
+        pmvs = [PMV([0.5, 0.5]), PMV([0.25, 0.75])]
+        for dof in (1, 2):
+            gf, _ = oracle_statistics([[0, 1], [1, 1]], pmvs, dof_gf=dof)
+            assert gf.dof == dof
+
+    def test_y_pmvs_without_y_refused(self):
+        with pytest.raises(InputError, match="y and y_pmvs together"):
+            oracle_statistics([[0, 1], [0, 1]],
+                              [PMV([0.5, 0.5]), PMV([0.5, 0.5])],
+                              y_pmvs=[PMV([0.25, 0.5, 0.25])])
+
 
 class TestPsdWald:
     """Roundoff-negative Wald forms clamp to 0; larger negatives raise."""

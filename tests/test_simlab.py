@@ -14,6 +14,7 @@ from convstat import (
     convolve,
     ed_test,
     gof_test,
+    oracle_statistics,
     pearson_ed,
     pearson_gof,
     rejection_proportion,
@@ -383,6 +384,35 @@ class TestLibraryAgreement:
                       len(reports["C2_GF"].diagnostics["warnings"]) > 0))
         # fallback, rank-deficient and full-rank replicates all occurred
         assert seen == {(True, True), (False, True), (False, False)}
+
+
+class TestOracleAgreement:
+    # small samples near p = 0 and q = 1, a hypothesis with a zero cell
+    # (rho = 1), and p = q = 1/2, where the true GF covariance has rank 1
+    @pytest.mark.parametrize("params", [
+        dict(p=0.05, q=0.95, rho=0.0, n1=5, n2=3, n3=8, seed=17),
+        dict(p=0.3, q=0.8, rho=1.0, n1=40, n2=30, n3=60, seed=5),
+        dict(p=0.5, q=0.5, rho=0.0, n1=30, n2=30, n3=30, seed=9),
+    ])
+    def test_z_equals_oracle_statistics(self, params):
+        scn = scenario(L=150, **params)
+        stats = _block_statistics(_Context(scn), 0, scn.L)
+        z = z_rho(scn.p, scn.q, scn.rho)
+        truth = [PMV([1 - scn.p, scn.p]), PMV([1 - scn.q, scn.q])]
+        m = min(scn.n1, scn.n2, scn.n3)
+        for rep in range(scn.L):
+            x1, x2, y = sample_scenario(scn, rep)
+            gf, ed = oracle_statistics([x1, x2], truth, z=z, y=[y],
+                                       y_pmvs=[z])
+            conv = convolve(PMV(np.bincount(x1, minlength=2) / scn.n1),
+                            PMV(np.bincount(x2, minlength=2) / scn.n2)).probs
+            y_hat = np.bincount(y, minlength=3) / scn.n3
+            for fam, report, hyp in (("GF", gf, z.probs), ("ED", ed, y_hat)):
+                # a deviation in the kernel comes out at roundoff of |v|^2
+                v = math.sqrt(m) * (conv - hyp)
+                for sid in (f"Z1_{fam}", f"Z2_{fam}"):
+                    assert stats[sid][0][rep] == pytest.approx(
+                        report.statistic, rel=1e-12, abs=1e-12 * (v @ v))
 
 
 class TestRegressionCounts:
