@@ -47,6 +47,7 @@ def _fail(message: str) -> "InputError":
 _LONG_SKIP = re.compile(r"^[^\S\n]*(?:#.*)?$", re.M)
 # A line of nothing but blanks and commas: a row of empty cells.
 _WIDE_SKIP = re.compile(r"^(?:[^\S\n]|,)*$", re.M)
+_parser = None  # built by the first main() call, reused by later ones
 
 
 def _read_lines(path: str, skip):
@@ -438,7 +439,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _parser
+    _parser = _parser or _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except NumericalError as exc:

@@ -565,7 +565,7 @@ def pearson_ed(x_sums, y_sums) -> TestReport:
 def _base_diagnostics(dec=None, m=None, warnings=None, **extra) -> dict:
     d = {"warnings": warnings if warnings is not None else []}
     if dec is not None:
-        d["eigenvalues"] = [float(v) for v in dec.values]
+        d["eigenvalues"] = dec.values.tolist()
     if m is not None:
         d["m"] = int(m)
     d.update(extra)
@@ -595,7 +595,7 @@ def _pearson_fallback(base, why, n_discarded, label, fixed_r, warnings,
 def _wald_report(vec, cov, label, fixed_r, epmvs_sides, loos, warnings, m,
                  **extra):
     """Report of the Wald form of ``vec`` in the PSD estimate ``cov``."""
-    dec = symlin.eigh(cov)
+    dec = symlin._spectrum(cov)
     diagnostics = _base_diagnostics(dec=dec, m=m, warnings=warnings, **extra)
     dof, label = _resolve_dof(
         label, fixed_r, epmvs_sides, loos, dec, warnings, diagnostics
@@ -763,7 +763,7 @@ def subind_test(paired, rank_policy=None, support_lens=None) -> TestReport:
                        fallback_used=True)
 
     s_m = math.sqrt(m) * (conv - z_hat.pmv.probs)
-    dec = symlin.eigh(ups)
+    dec = symlin._spectrum(ups)
     statistic = float(_wald_terms(s_m, dec, dof).sum())
     if statistic < 0.0:
         warnings.append(

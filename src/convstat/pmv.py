@@ -160,14 +160,16 @@ def empirical_pmv(samples, r: int) -> EmpiricalPMV:
         raise EmptySample("no observations supplied")
     values = _integer_values(values, "observations")
     r = _support_degree(r)
-    if values.min() < 0 or values.max() > r:
+    try:  # bincount refuses a negative value; the bound keeps counts small
+        counts = np.bincount(values, minlength=r + 1) if values.max() <= r else None
+    except ValueError:
+        counts = None
+    if counts is None:
         raise SupportViolation(
             f"observations must lie in {{0, ..., {r}}}; "
             f"got range [{values.min()}, {values.max()}]"
         )
-    n = values.size
-    counts = np.bincount(values, minlength=r + 1)
-    return EmpiricalPMV(pmv=PMV(counts / n), n=int(n))
+    return EmpiricalPMV(pmv=PMV(counts / values.size), n=values.size)
 
 
 def _support_degree(r) -> int:
@@ -197,18 +199,23 @@ def _require_finite(values, what: str) -> None:
 def _integer_values(values: np.ndarray, what: str) -> np.ndarray:
     """An integer 1-D array of ``values``: another shape raises
     ``DimensionMismatch``, NaN or infinity ``DomainError`` and fractions
-    ``SupportViolation``."""
+    ``SupportViolation``; other dtypes are cast in blocks, so the int64
+    result is the one allocation that grows with the input."""
     if values.ndim != 1:
         raise DimensionMismatch(
             f"{what} must be a 1-D array, got shape {values.shape}"
         )
-    if np.issubdtype(values.dtype, np.integer):
+    if values.dtype.kind in "iu":
         return values
     _require_finite(values, what)
-    as_int = np.rint(values).astype(np.int64)
-    if np.any(np.abs(values - as_int) > 0):
-        raise SupportViolation(f"{what} must be integers")
-    return as_int
+    out = np.empty(values.shape, dtype=np.int64)
+    scratch = np.empty(min(values.size, _BLOCK))
+    for start in range(0, values.size, _BLOCK):
+        block, ints = values[start:start + _BLOCK], out[start:start + _BLOCK]
+        ints[...] = np.rint(block, out=scratch[:block.size])
+        if np.subtract(block, ints, out=scratch[:block.size]).any():
+            raise SupportViolation(f"{what} must be integers")
+    return out
 
 
 def _integer(what: str, value) -> int:
@@ -251,22 +258,23 @@ def _convolve(a, b) -> np.ndarray:
 def _products(probs):
     """``(leave-one-out list, full convolution)`` of probability arrays.
 
-    One prefix/suffix pass keeps the work linear in k: the i-th entry of
-    the list convolves every array but the i-th (the identity ``(1,)`` for
-    a single array), and the full convolution is the last prefix times the
-    last array, the same fold, bit for bit, as :func:`convolve_all`.
-    Leading axes broadcast.
+    One prefix/suffix pass, with no product with the identity, keeps the
+    work linear in k: the i-th entry of the list convolves every array but
+    the i-th (the identity ``(1,)`` for a single array), and the full
+    convolution is the last prefix times the last array, the same fold,
+    bit for bit, as :func:`convolve_all`.  Leading axes broadcast.
     """
-    one = np.ones(1)
-    prefix = [one]
-    for p in probs[:-1]:
+    if len(probs) == 1:
+        return [np.ones(1)], _convolve(np.ones(1), probs[0])
+    prefix = [probs[0]]
+    for p in probs[1:-1]:
         prefix.append(_convolve(prefix[-1], p))
-    suffix = [one]
-    for p in reversed(probs[1:]):
+    suffix = [probs[-1]]
+    for p in reversed(probs[1:-1]):
         suffix.append(_convolve(p, suffix[-1]))
     suffix.reverse()
-    loo = [_convolve(a, b) for a, b in zip(prefix, suffix)]
-    return loo, _convolve(prefix[-1], probs[-1])
+    loo = [_convolve(a, b) for a, b in zip(prefix[:-1], suffix[1:])]
+    return [suffix[0], *loo, prefix[-1]], _convolve(prefix[-1], probs[-1])
 
 
 def convolve(a: PMV, b: PMV) -> PMV:

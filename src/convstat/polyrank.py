@@ -271,7 +271,7 @@ def covariance_rank(x_pmvs, y_pmvs=None) -> RankReport:
     _, cov, loos = covest._estimate([[p.probs for p in side] for side in sides],
                                     np.ones(sum(map(len, sides))), s + 1)
     formula = _rank_formula(sides, loos)
-    dec = symlin.eigh(cov)
+    dec = symlin._spectrum(cov)
     return RankReport(
         s=formula.s,
         analytic_rank=formula.analytic,

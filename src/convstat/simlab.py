@@ -333,7 +333,7 @@ def _block_statistics(ctx: _Context, start: int, stop: int) -> dict:
         vec = ctx.sqrt_m * (convs[0] - hyp)
         if wanted & c_ids:
             # Fixed rank 1 and 2; Pearson where the estimate is zero.
-            dec = symlin.eigh(cov)
+            dec = symlin._spectrum(cov)
             fallback = ~cov.any(axis=(-2, -1))
             for r in (1, 2):
                 value = np.where(fallback, stats[f"P_{fam}"][0],

@@ -11,6 +11,10 @@ made in one place, :func:`_above_cut`; the pseudo-inverse here, the Wald
 forms, fixed-rank check and oracle whitener in :mod:`convstat.hyptest`,
 and the eigenvalue, singular-value and trailing-coefficient cuts in
 :mod:`convstat.polyrank` all read it.
+
+Every consumer inside the package reads :func:`_spectrum`: each squares
+projections or forms ``V diag V'``, where a column's sign cancels exactly,
+so only the public :func:`eigh` pays for the sign rule.
 """
 
 import math
@@ -53,9 +57,8 @@ class EigenDecomp:
 
     For a stack the arrays carry the same leading axes and the identity
     holds per matrix.  ``values`` is sorted descending; ``vectors`` holds
-    orthonormal columns with the sign fixed so each column's first
-    non-negligible component is positive, giving reproducible output for
-    tied eigenvalues.
+    orthonormal columns, which :func:`eigh` signs so that each column's
+    first non-negligible component is positive (reproducible for ties).
     """
 
     values: np.ndarray
@@ -94,14 +97,22 @@ def _above_cut(values, tol) -> np.ndarray:
     return mag > tol * mag.max(axis=-1, keepdims=True, initial=0.0)
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    # An entry counts as the column's first component when it exceeds
-    # 1e-12 of the column's largest: far above the eps-level roundoff of
-    # a component that is zero in exact arithmetic.
-    big = _above_cut(np.swapaxes(vectors, -1, -2), 1e-12)
-    first = big.argmax(axis=-1)[..., None, :]
-    lead = np.take_along_axis(vectors, first, axis=-2)
-    return vectors * np.where(lead < 0.0, -1.0, 1.0)
+def _spectrum(a) -> EigenDecomp:
+    """:func:`eigh` without the sign rule.  LAPACK's ascending order is
+    reversed as a copy (a reversed view would change the summation order
+    of a later ``@``), or stably sorted when a stack holds a tie."""
+    w = ensure_symmetric(a)
+    try:
+        values, vectors = np.linalg.eigh(w)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
+    if np.all(values[..., 1:] > values[..., :-1]):
+        return EigenDecomp(values[..., ::-1].copy(), vectors[..., ::-1].copy())
+    order = np.argsort(-values, axis=-1, kind="stable")
+    return EigenDecomp(
+        values=np.take_along_axis(values, order, axis=-1),
+        vectors=np.take_along_axis(vectors, order[..., None, :], axis=-1),
+    )
 
 
 def eigh(a) -> EigenDecomp:
@@ -112,17 +123,13 @@ def eigh(a) -> EigenDecomp:
     sign-fixed on its own.  Raises ``NoConvergence`` when LAPACK reports
     a failure.
     """
-    w = ensure_symmetric(a)
-    try:
-        values, vectors = np.linalg.eigh(w)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
-    order = np.argsort(-values, axis=-1, kind="stable")
-    vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
-    return EigenDecomp(
-        values=np.take_along_axis(values, order, axis=-1),
-        vectors=_fix_signs(vectors),
-    )
+    dec = _spectrum(a)
+    # A column's first component is its first entry above 1e-12 of its
+    # largest: far above the roundoff of an entry that is zero exactly.
+    big = _above_cut(np.swapaxes(dec.vectors, -1, -2), 1e-12)
+    first = big.argmax(axis=-1)[..., None, :]
+    lead = np.take_along_axis(dec.vectors, first, axis=-2)
+    return EigenDecomp(dec.values, dec.vectors * np.where(lead < 0.0, -1.0, 1.0))
 
 
 def _from_spectrum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -138,7 +145,7 @@ def rank_r_approx(a, r: int) -> np.ndarray:
     are broken by the deterministic ordering of :func:`eigh`.  A stack of
     matrices gives a stack of approximations.
     """
-    dec = eigh(a)
+    dec = _spectrum(a)
     d = dec.values.shape[-1]
     if not 0 < r <= d:
         raise RankOutOfRange(f"rank must be in 1..{d}, got {r}")
@@ -154,7 +161,7 @@ def pinv(a, tol: float = PINV_TOL) -> np.ndarray:
     zeroed.  The zero matrix maps to the zero matrix.  A stack of matrices
     gives a stack of pseudo-inverses.
     """
-    dec = eigh(a)
+    dec = _spectrum(a)
     keep = _above_cut(dec.values, tol)
     inv = np.where(keep, 1.0 / np.where(keep, dec.values, 1.0), 0.0)
     return _from_spectrum(dec.vectors, inv)
