@@ -39,10 +39,6 @@ from .polyrank import covariance_rank
 __all__ = ["main"]
 
 
-def _fail(message: str) -> "InputError":
-    return InputError(message)
-
-
 # A blank line, or one whose first non-blank character is "#".
 _LONG_SKIP = re.compile(r"^[^\S\n]*(?:#.*)?$", re.M)
 # A line of nothing but blanks and commas: a row of empty cells.
@@ -57,7 +53,7 @@ def _read_lines(path: str, skip):
     ``(lineno, stripped text)`` of the skipped lines that are not blank.
     """
     if not os.path.exists(path):
-        raise _fail(f"{path}: no such file")
+        raise InputError(f"{path}: no such file")
     with open(path) as fh:
         text = fh.read()
     lines = text.split("\n")
@@ -204,13 +200,14 @@ def read_data_file(path: str) -> SampleSet:
             errors.append(_bad_line(lines, numbers, _long_rows, _describe_long))
     if errors:
         lineno, message = min(errors)
-        raise _fail(f"{path}:{lineno}: {message}")
+        raise InputError(f"{path}:{lineno}: {message}")
     if not len(names):
-        raise _fail(f"{path}: no observations found")
+        raise InputError(f"{path}: no observations found")
     order, variables = _group(names, values)
     unknown = set(coeffs) - set(order)
     if unknown:
-        raise _fail(f"{path}: #coeff lines for unknown variables {sorted(unknown)}")
+        raise InputError(
+            f"{path}: #coeff lines for unknown variables {sorted(unknown)}")
     return SampleSet(
         variables=tuple(variables),
         coeffs=tuple(coeffs.get(n, 1) for n in order),
@@ -229,11 +226,11 @@ def read_paired_file(path: str):
             names = [f"X{i + 1}" for i in range(width)]
         except ValueError:
             if len(lines) > 1 and _quote_runs_on(lines, 0):
-                raise _fail(f"{path}:{numbers[0]}: {_OPEN_QUOTE}") from None
+                raise InputError(f"{path}:{numbers[0]}: {_OPEN_QUOTE}") from None
             names = [c.strip() for c in _loadtxt(lines[:1], object)[0]]
             lines, numbers = lines[1:], numbers[1:]
     if not lines:
-        raise _fail(f"{path}: no observations found")
+        raise InputError(f"{path}: no observations found")
 
     def rows(lines):
         table = _loadtxt(lines, float)
@@ -252,7 +249,7 @@ def read_paired_file(path: str):
         table = rows(lines)
     except ValueError:
         lineno, message = _bad_line(lines, numbers, rows, describe)
-        raise _fail(f"{path}:{lineno}: {message}") from None
+        raise InputError(f"{path}:{lineno}: {message}") from None
     # The lattice of unit 1: its tolerance forgives the decimal roundoff of
     # an integer written as text (such as 3.0000000001), while a fraction
     # such as 0.5 is refused, and so is a value beyond 2**53; NaN and
@@ -260,7 +257,8 @@ def read_paired_file(path: str):
     try:
         return _to_lattice_ints(table, 1.0, path)[0], names
     except LatticeViolation:
-        raise _fail(f"{path}: paired observations must be integers") from None
+        raise InputError(
+            f"{path}: paired observations must be integers") from None
 
 
 def _parse_pmv(text: str) -> PMV:
@@ -272,11 +270,11 @@ def _parse_pmv(text: str) -> PMV:
     else:
         raw = text.replace(",", " ").split()
     if not raw:
-        raise _fail(f"empty PMV literal {text!r}")
+        raise InputError(f"empty PMV literal {text!r}")
     try:
         values = _loadtxt([",".join(raw)], float, ndmin=1)
     except ValueError:
-        raise _fail(f"cannot parse PMV from {text!r}") from None
+        raise InputError(f"cannot parse PMV from {text!r}") from None
     return PMV(values)
 
 
@@ -333,7 +331,7 @@ def cmd_ed(args) -> int:
 def cmd_subind(args) -> int:
     table, _ = read_paired_file(args.data)
     if table.min() < 0:
-        raise _fail("paired observations must be nonnegative integers")
+        raise InputError("paired observations must be nonnegative integers")
     report = subind_test(table, rank_policy=args.rank)
     _print_report(report, args.json)
     return 0
@@ -349,7 +347,7 @@ def cmd_rank(args) -> int:
             for v, r in zip(canon.variables, canon.support_lens)
         ]
     else:
-        raise _fail("rank needs either a data file or --pmv literals")
+        raise InputError("rank needs either a data file or --pmv literals")
     y_pmvs = [_parse_pmv(t) for t in args.y_pmv] if args.y_pmv else None
     report = covariance_rank(x_pmvs, y_pmvs)
     if args.json:

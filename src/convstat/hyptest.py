@@ -14,7 +14,7 @@ equality in distribution (mismatch rejects deterministically).
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,11 +28,10 @@ from .errors import (
     NumericalError,
     RankOutOfRange,
     SupportMismatch,
-    SupportViolation,
     ZeroExpected,
 )
 from .pmv import (
-    PMV, _BLOCK, _integer, _integer_values, _products, _real,
+    PMV, _BLOCK, _counts, _integer, _integer_values, _products, _real,
     _require_finite, _support_degree, empirical_pmv,
 )
 from .polyrank import _numeric_rank, _rank_formula
@@ -157,14 +156,7 @@ class TestReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "rank_policy": self.rank_policy,
-            "fallback_used": self.fallback_used,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "TestReport":
@@ -486,7 +478,8 @@ def pearson_gof(sums, z, on_zero_expected: str = "error") -> TestReport:
     before calling), ``"drop"`` excludes those cells from the statistic.
     The dof stays at the declared support size minus 1 either way.
     Observed values beyond the support of ``z`` reject deterministically.
-    Any other mode raises ``InputError``.
+    Any other mode raises ``InputError``.  The diagnostics hold the observed
+    ``cells`` and their ``counts``.
     """
     if on_zero_expected not in ("error", "drop"):
         raise InputError(
@@ -497,12 +490,9 @@ def pearson_gof(sums, z, on_zero_expected: str = "error") -> TestReport:
     if values.size == 0:
         raise EmptySample("pearson_gof needs at least one observation")
     values = _integer_values(values, "summed observations")
-    if values.min() < 0:
-        raise SupportViolation("summed observations must be nonnegative")
     z = z if isinstance(z, PMV) else PMV(z)
-    m = values.size
-    _support_degree(values.max())
-    counts = np.bincount(values.astype(np.int64), minlength=z.support_len)
+    top = _support_degree(max(values.max(), 0))
+    counts = _counts(values, max(top, z.r), "summed observations")
     positive = z.probs > 0.0
     dof = max(1, z.support_len - 1)
     warnings = []
@@ -510,7 +500,7 @@ def pearson_gof(sums, z, on_zero_expected: str = "error") -> TestReport:
         return _report(math.inf, dof, "pearson", {
             "warnings": ["observations outside the hypothesized support; "
                          "deterministic rejection"],
-            "counts": counts.tolist(),
+            **_observed_cells(counts=counts),
         })
     if not np.all(positive):
         if on_zero_expected == "error":
@@ -526,8 +516,8 @@ def pearson_gof(sums, z, on_zero_expected: str = "error") -> TestReport:
             )
     statistic = float(_pearson_gof_stat(counts, z.probs))
     return _report(statistic, dof, "pearson",
-                   {"warnings": warnings, "counts": counts.tolist(),
-                    "m": int(m)})
+                   {"warnings": warnings, **_observed_cells(counts=counts),
+                    "m": values.size})
 
 
 def pearson_ed(x_sums, y_sums) -> TestReport:
@@ -535,7 +525,8 @@ def pearson_ed(x_sums, y_sums) -> TestReport:
 
     Cells with zero pooled counts are merged away from the support ends
     inward (a warning records how many); dof is the retained cell count
-    minus 1.
+    minus 1.  The diagnostics hold the observed ``cells`` and the
+    ``x_counts`` and ``y_counts`` on them.
     """
     xv = np.asarray(x_sums)
     yv = np.asarray(y_sums)
@@ -543,23 +534,24 @@ def pearson_ed(x_sums, y_sums) -> TestReport:
         raise EmptySample("pearson_ed needs observations on both sides")
     xv = _integer_values(xv, "summed observations")
     yv = _integer_values(yv, "summed observations")
-    if xv.min() < 0 or yv.min() < 0:
-        raise SupportViolation("summed observations must be nonnegative")
-    top = _support_degree(max(xv.max(), yv.max()))
-    cx = np.bincount(xv.astype(np.int64), minlength=top + 1)
-    cy = np.bincount(yv.astype(np.int64), minlength=top + 1)
-    empty = int(np.sum(cx + cy == 0))
-    warnings = []
-    if empty:
-        warnings.append(
-            f"{empty} empty pooled cells merged from the support ends inward"
-        )
+    top = _support_degree(max(xv.max(), yv.max(), 0))
+    cx = _counts(xv, top, "summed observations")
+    cy = _counts(yv, top, "summed observations")
+    observed = _observed_cells(x_counts=cx, y_counts=cy)
+    empty = cx.size - len(observed["cells"])
+    warnings = [f"{empty} empty pooled cells merged from the support ends "
+                "inward"] if empty else []
     statistic, dof = _pearson_ed_stat(cx, cy)
-    return _report(float(statistic), int(dof), "pearson", {
-        "warnings": warnings,
-        "x_counts": cx.tolist(),
-        "y_counts": cy.tolist(),
-    })
+    return _report(float(statistic), int(dof), "pearson",
+                   {"warnings": warnings, **observed})
+
+
+def _observed_cells(**counts) -> dict:
+    """The ``cells`` where some count is nonzero, and each count on them."""
+    first, *rest = counts.values()
+    cells = np.flatnonzero(sum(rest, first))  # one vector is not copied
+    return {"cells": cells.tolist(),
+            **{name: c[cells].tolist() for name, c in counts.items()}}
 
 
 def _base_diagnostics(dec=None, m=None, warnings=None, **extra) -> dict:

@@ -75,7 +75,8 @@ class PMV:
         # an infinite entry the sum test; the message is found on failure.
         if not p.min() >= 0.0:
             raise _invalid(p)
-        total = float(p.sum())
+        with np.errstate(over="ignore"):  # an overflowing sum is refused below
+            total = float(p.sum())
         if not total < math.inf:
             raise _invalid(p)
         if total <= 0.0:
@@ -159,17 +160,24 @@ def empirical_pmv(samples, r: int) -> EmpiricalPMV:
     if values.size == 0:
         raise EmptySample("no observations supplied")
     values = _integer_values(values, "observations")
-    r = _support_degree(r)
-    try:  # bincount refuses a negative value; the bound keeps counts small
-        counts = np.bincount(values, minlength=r + 1) if values.max() <= r else None
-    except ValueError:
-        counts = None
-    if counts is None:
-        raise SupportViolation(
-            f"observations must lie in {{0, ..., {r}}}; "
-            f"got range [{values.min()}, {values.max()}]"
-        )
+    counts = _counts(values, _support_degree(r), "observations")
     return EmpiricalPMV(pmv=PMV(counts / values.size), n=values.size)
+
+
+def _counts(values, r: int, what: str) -> np.ndarray:
+    """Cell counts on ``{0, ..., r}`` of the integer 1-D ``values``: one
+    bound check on the maximum keeps them small, ``bincount`` refuses a
+    negative value itself, and either failure raises ``SupportViolation``
+    with the observed range."""
+    try:
+        if values.max() <= r:
+            return np.bincount(values, minlength=r + 1)
+    except ValueError:
+        pass
+    raise SupportViolation(
+        f"{what} must lie in {{0, ..., {r}}}; "
+        f"got range [{values.min()}, {values.max()}]"
+    )
 
 
 def _support_degree(r) -> int:
@@ -198,7 +206,8 @@ def _require_finite(values, what: str) -> None:
 
 def _integer_values(values: np.ndarray, what: str) -> np.ndarray:
     """An integer 1-D array of ``values``: another shape raises
-    ``DimensionMismatch``, NaN or infinity ``DomainError`` and fractions
+    ``DimensionMismatch``, NaN or infinity ``DomainError``, and a value
+    outside int64 (decided on the whole array) or a fraction
     ``SupportViolation``; other dtypes are cast in blocks, so the int64
     result is the one allocation that grows with the input."""
     if values.ndim != 1:
@@ -207,7 +216,13 @@ def _integer_values(values: np.ndarray, what: str) -> np.ndarray:
         )
     if values.dtype.kind in "iu":
         return values
-    _require_finite(values, what)
+    # As Python scalars, so a float16 bound does not overflow on compare.
+    lo, hi = np.array((values.min(), values.max())).tolist()
+    if not -2.0**63 <= lo <= hi < 2.0**63:  # NaN fails too; a cast would wrap
+        _require_finite(values, what)
+        offender = lo if lo < -2.0**63 else hi
+        raise SupportViolation(f"{what}: value {offender!r} lies outside "
+                               "the int64 range")
     out = np.empty(values.shape, dtype=np.int64)
     scratch = np.empty(min(values.size, _BLOCK))
     for start in range(0, values.size, _BLOCK):

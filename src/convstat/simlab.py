@@ -459,24 +459,13 @@ def write_csv(results, path) -> None:
 def write_json(results, path, scenario: SimScenario, axis: str) -> None:
     """JSON mirror of :func:`write_csv` with the scenario attached."""
     payload = {
-        "scenario": {
-            "p": scenario.p, "q": scenario.q, "rho": scenario.rho,
-            "n1": scenario.n1, "n2": scenario.n2, "n3": scenario.n3,
-            "L": scenario.L, "alpha": scenario.alpha,
-            "seed": scenario.seed,
-            "statistics": list(scenario.statistics),
-        },
+        "scenario": dataclasses.asdict(scenario),
         "axis": axis,
         "results": [
             {
                 "sweep_value": value,
                 "statistics": {
-                    sid: {
-                        "proportion": entry.proportion,
-                        "stderr": entry.stderr,
-                        "rejections": entry.rejections,
-                        "fallback_count": entry.fallback_count,
-                    }
+                    sid: dataclasses.asdict(entry)
                     for sid, entry in sorted(result.entries.items())
                 },
             }

@@ -1,8 +1,14 @@
 """Dense symmetric linear algebra used by the test statistics.
 
-Symmetric matrices are plain ``numpy.ndarray`` objects validated by
-:func:`ensure_symmetric`.  The eigensolver is LAPACK's ``syevd`` through
-``numpy.linalg.eigh``.  Its eigenvalues carry absolute errors of order
+Symmetric matrices are plain ``numpy.ndarray`` objects.  The eigensolver
+is LAPACK's ``syevd`` through ``numpy.linalg.eigh``, which reads one
+triangle.  So the public entry points (:func:`eigh`, :func:`pinv`,
+:func:`rank_r_approx`) pass a caller's matrix through
+:func:`ensure_symmetric` first.  The package's own matrices go to
+:func:`_spectrum` unchecked: each is a Gram matrix ``F F'``, or such a
+matrix taken from ``diag(p) - p p'``, so it is finite and symmetric bit
+for bit, and the check and ``(A + A') / 2`` would change nothing (a test
+pins this).  The eigenvalues carry absolute errors of order
 ``eps * ||A||``; the covariance matrices here are singular by
 construction, so their zero eigenvalues come out as roundoff of either
 sign at that scale, and every rank or pseudo-inverse cut is taken
@@ -98,12 +104,12 @@ def _above_cut(values, tol) -> np.ndarray:
 
 
 def _spectrum(a) -> EigenDecomp:
-    """:func:`eigh` without the sign rule.  LAPACK's ascending order is
-    reversed as a copy (a reversed view would change the summation order
-    of a later ``@``), or stably sorted when a stack holds a tie."""
-    w = ensure_symmetric(a)
+    """:func:`eigh` of an exactly symmetric ``a`` without the check or the
+    sign rule.  LAPACK's ascending order is reversed as a copy (a reversed
+    view would change the summation order of a later ``@``), or stably
+    sorted when a stack holds a tie."""
     try:
-        values, vectors = np.linalg.eigh(w)
+        values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
     if np.all(values[..., 1:] > values[..., :-1]):
@@ -123,7 +129,7 @@ def eigh(a) -> EigenDecomp:
     sign-fixed on its own.  Raises ``NoConvergence`` when LAPACK reports
     a failure.
     """
-    dec = _spectrum(a)
+    dec = _spectrum(ensure_symmetric(a))
     # A column's first component is its first entry above 1e-12 of its
     # largest: far above the roundoff of an entry that is zero exactly.
     big = _above_cut(np.swapaxes(dec.vectors, -1, -2), 1e-12)
@@ -145,7 +151,7 @@ def rank_r_approx(a, r: int) -> np.ndarray:
     are broken by the deterministic ordering of :func:`eigh`.  A stack of
     matrices gives a stack of approximations.
     """
-    dec = _spectrum(a)
+    dec = _spectrum(ensure_symmetric(a))
     d = dec.values.shape[-1]
     if not 0 < r <= d:
         raise RankOutOfRange(f"rank must be in 1..{d}, got {r}")
@@ -161,7 +167,7 @@ def pinv(a, tol: float = PINV_TOL) -> np.ndarray:
     zeroed.  The zero matrix maps to the zero matrix.  A stack of matrices
     gives a stack of pseudo-inverses.
     """
-    dec = _spectrum(a)
+    dec = _spectrum(ensure_symmetric(a))
     keep = _above_cut(dec.values, tol)
     inv = np.where(keep, 1.0 / np.where(keep, dec.values, 1.0), 0.0)
     return _from_spectrum(dec.vectors, inv)
