@@ -33,7 +33,7 @@ from .hyptest import (
     gof_test,
     subind_test,
 )
-from .pmv import PMV, empirical_pmv
+from .pmv import PMV, _side_pmvs
 from .polyrank import covariance_rank
 
 __all__ = ["main"]
@@ -253,12 +253,16 @@ def read_paired_file(path: str):
     # The lattice of unit 1: its tolerance forgives the decimal roundoff of
     # an integer written as text (such as 3.0000000001), while a fraction
     # such as 0.5 is refused, and so is a value beyond 2**53; NaN and
-    # infinity raise DomainError.
+    # infinity raise DomainError; a negative minimum, InputError.
     try:
-        return _to_lattice_ints(table, 1.0, path)[0], names
+        table, lo, _ = _to_lattice_ints(table, 1.0, path)
     except LatticeViolation:
         raise InputError(
             f"{path}: paired observations must be integers") from None
+    if lo < 0:
+        raise InputError(
+            f"{path}: paired observations must be nonnegative integers")
+    return table, names
 
 
 def _parse_pmv(text: str) -> PMV:
@@ -294,8 +298,8 @@ def _print_report(report, as_json: bool) -> None:
     if eigenvalues:
         body = ", ".join(f"{v:.4g}" for v in eigenvalues)
         print(f"eigenvalues        [{body}]")
-        retained = [v for v in eigenvalues if v > 1e-12 * max(eigenvalues)]
-        if len(retained) >= 2 and min(retained) < 1e-6 * max(retained):
+        kept = eigenvalues[:report.dof]
+        if len(kept) >= 2 and min(kept) < 1e-6 * max(kept):
             print(
                 "hint: eigenvalue spread is extreme; a reduced rank "
                 "(--rank fixed:N) trades power for type-I control"
@@ -330,8 +334,6 @@ def cmd_ed(args) -> int:
 
 def cmd_subind(args) -> int:
     table, _ = read_paired_file(args.data)
-    if table.min() < 0:
-        raise InputError("paired observations must be nonnegative integers")
     report = subind_test(table, rank_policy=args.rank)
     _print_report(report, args.json)
     return 0
@@ -342,10 +344,7 @@ def cmd_rank(args) -> int:
         x_pmvs = [_parse_pmv(t) for t in args.pmv]
     elif args.data:
         canon = canonicalize(read_data_file(args.data))
-        x_pmvs = [
-            empirical_pmv(v, r).pmv
-            for v, r in zip(canon.variables, canon.support_lens)
-        ]
+        x_pmvs = _side_pmvs(canon.variables, canon.support_lens)[1]
     else:
         raise InputError("rank needs either a data file or --pmv literals")
     y_pmvs = [_parse_pmv(t) for t in args.y_pmv] if args.y_pmv else None

@@ -32,14 +32,16 @@ import numpy as np
 from .errors import (
     DegenerateVariable,
     DimensionMismatch,
+    DomainError,
     EmptySizes,
     InputError,
     NeedTwoVariables,
     NotPaired,
 )
 from .pmv import (
-    MAX_SUPPORT, EmpiricalPMV, PMV, _BLOCK, _conv_matrix, _products,
-    _require_finite, _support_degree, empirical_pmv, multinomial_cov,
+    MAX_SUPPORT, EmpiricalPMV, PMV, _BLOCK, _as_pmv, _conv_matrix, _products,
+    _real_array, _require_finite, _side_pmvs, _support_degree,
+    empirical_pmv, multinomial_cov,
 )
 
 __all__ = [
@@ -54,24 +56,10 @@ __all__ = [
 
 def weights_from_sizes(sizes) -> np.ndarray:
     """Finite-sample weights ``c_i = min(sizes) / n_i``."""
-    sizes = np.asarray(sizes, dtype=float)
-    if sizes.size == 0:
-        raise EmptySizes("at least one sample size is required")
-    if np.any(sizes < 1):
-        raise EmptySizes(f"sample sizes must be >= 1, got {sizes.tolist()}")
+    sizes = _real_array(sizes, EmptySizes, "sample sizes").astype(float)
+    if not (sizes.size and sizes.min() >= 1 and sizes.max() < np.inf):
+        raise EmptySizes(f"need finite sample sizes >= 1, got {sizes.tolist()}")
     return sizes.min() / sizes
-
-
-def _as_pmvs(pmvs) -> list:
-    out = []
-    for p in pmvs:
-        if isinstance(p, EmpiricalPMV):
-            out.append(p.pmv)
-        elif isinstance(p, PMV):
-            out.append(p)
-        else:
-            out.append(PMV(p))
-    return out
 
 
 def _factor(probs, weights=None, products=None) -> np.ndarray:
@@ -138,7 +126,7 @@ def _estimate(sides, weights, size):
 def _true_probs(pmvs, k_min: int, name: str) -> list:
     """Probability arrays of at least ``k_min`` true PMVs, none of them a
     point mass: the limiting covariance is undefined for a constant."""
-    pmvs = _as_pmvs(pmvs)
+    pmvs = [_as_pmv(p) for p in pmvs]
     if len(pmvs) < k_min:
         raise NeedTwoVariables(
             f"{name} requires k >= {k_min} PMVs, got {len(pmvs)}"
@@ -152,9 +140,21 @@ def _true_probs(pmvs, k_min: int, name: str) -> list:
     return [p.probs for p in pmvs]
 
 
+def _true_cov(pmvs, weights, k_min: int, name: str) -> np.ndarray:
+    """:func:`_weighted_cov` of true PMVs (:func:`_true_probs`) with
+    weights that are finite and > 0, where ``sqrt(c_i p_i)`` is real."""
+    probs = _true_probs(pmvs, k_min, name)
+    if weights is not None:
+        w = _real_array(weights, DomainError, f"{name} weights")
+        if not np.all((w > 0) & (w < np.inf)):  # NaN fails too
+            raise DomainError(
+                f"{name} weights must be finite and > 0, got {w.tolist()}")
+    return _weighted_cov(probs, weights)
+
+
 def psi(pmvs, weights=None) -> np.ndarray:
     """Covariance of the goodness-of-fit statistic from true PMVs (k >= 2)."""
-    return _weighted_cov(_true_probs(pmvs, 2, "psi"), weights)
+    return _true_cov(pmvs, weights, 2, "psi")
 
 
 def xi(pmvs, weights=None) -> np.ndarray:
@@ -163,23 +163,14 @@ def xi(pmvs, weights=None) -> np.ndarray:
     For h = 1 the leave-one-out convolution is the identity, so the result
     collapses to ``c * S(y_1)``.
     """
-    return _weighted_cov(_true_probs(pmvs, 1, "xi"), weights)
-
-
-def _epmvs_from_samples(samples, support_lens=None) -> list:
-    samples = [np.asarray(s) for s in samples]
-    if support_lens is None:
-        support_lens = [int(np.max(s)) if s.size else 0 for s in samples]
-    return [empirical_pmv(s, r) for s, r in zip(samples, support_lens)]
+    return _true_cov(pmvs, weights, 1, "xi")
 
 
 def _plug_in(samples, support_lens, k_min, name) -> np.ndarray:
-    samples = list(samples)
-    if len(samples) < k_min:
+    epmvs = _side_pmvs(samples, support_lens)[1]
+    if len(epmvs) < k_min:
         raise NeedTwoVariables(
-            f"{name} requires k >= {k_min} variables, got {len(samples)}"
-        )
-    epmvs = _epmvs_from_samples(samples, support_lens)
+            f"{name} requires k >= {k_min} variables, got {len(epmvs)}")
     weights = weights_from_sizes([e.n for e in epmvs])
     return _weighted_cov([e.pmv.probs for e in epmvs], weights)
 
@@ -206,8 +197,7 @@ def _paired_matrix(paired) -> np.ndarray:
         raise NotPaired("paired data must be a rectangular m x k table") from None
     if arr.dtype == object or arr.ndim != 2:
         raise NotPaired("paired data must be a rectangular m x k table")
-    if arr.dtype.kind not in "biuf":
-        raise NotPaired(f"paired data must be real numbers, got {arr.dtype}")
+    _real_array(arr, NotPaired, "paired data")
     _require_finite(arr, "paired data")
     if arr.shape[0] < 2:
         raise NotPaired(f"paired data needs m >= 2 rows, got {arr.shape[0]}")

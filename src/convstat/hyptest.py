@@ -31,8 +31,8 @@ from .errors import (
     ZeroExpected,
 )
 from .pmv import (
-    PMV, _BLOCK, _counts, _integer, _integer_values, _products, _real,
-    _require_finite, _support_degree, empirical_pmv,
+    PMV, _BLOCK, _as_pmv, _counts, _integer, _integer_values, _products,
+    _real, _require_finite, _side_pmvs, _support_degree,
 )
 from .polyrank import _numeric_rank, _rank_formula
 
@@ -285,32 +285,17 @@ def canonicalize(raw: SampleSet) -> CanonicalSamples:
 
 
 def _coerce_samples(x, support_lens=None):
-    """Accept CanonicalSamples or a plain per-variable sequence.
-
-    An explicit ``support_lens`` needs one entry per variable.
-    """
+    """``(arrays, empirical PMVs, total offset, canonical)`` of one side,
+    read by ``pmv._side_pmvs``; a :class:`CanonicalSamples` brings its
+    offset and, unless others are given, its ``support_lens``."""
     canonical = isinstance(x, CanonicalSamples)
-    if canonical:
-        arrays = list(x.variables)
-    else:
-        arrays = [np.asarray(v) for v in x]
-        if not arrays:
-            raise EmptySample("no variables supplied")
-        for i, v in enumerate(arrays):
-            if v.size == 0:
-                raise EmptySample(f"variable {i} has no observations")
-            _require_finite(v, f"variable {i}")
-    if support_lens is not None:
-        lens = list(support_lens)
-        if len(lens) != len(arrays):
-            raise DimensionMismatch(
-                f"{len(lens)} support lengths for {len(arrays)} variables"
-            )
-    elif canonical:
-        lens = list(x.support_lens)
-    else:
-        lens = [int(np.max(v)) for v in arrays]
-    return arrays, lens, x.total_offset if canonical else 0, canonical
+    offset = x.total_offset if canonical else 0
+    if canonical and support_lens is None:
+        support_lens = x.support_lens
+    arrays, epmvs = _side_pmvs(x.variables if canonical else x, support_lens)
+    if not (arrays or canonical):
+        raise EmptySample("no variables supplied")
+    return arrays, epmvs, offset, canonical
 
 
 def paired_sums(variables):
@@ -486,11 +471,10 @@ def pearson_gof(sums, z, on_zero_expected: str = "error") -> TestReport:
             f"on_zero_expected must be 'error' or 'drop', got "
             f"{on_zero_expected!r}"
         )
-    values = np.asarray(sums)
-    if values.size == 0:
+    if not np.size(sums):
         raise EmptySample("pearson_gof needs at least one observation")
-    values = _integer_values(values, "summed observations")
-    z = z if isinstance(z, PMV) else PMV(z)
+    values = _integer_values(np.asarray(sums), "summed observations")
+    z = _as_pmv(z)
     top = _support_degree(max(values.max(), 0))
     counts = _counts(values, max(top, z.r), "summed observations")
     positive = z.probs > 0.0
@@ -528,12 +512,10 @@ def pearson_ed(x_sums, y_sums) -> TestReport:
     minus 1.  The diagnostics hold the observed ``cells`` and the
     ``x_counts`` and ``y_counts`` on them.
     """
-    xv = np.asarray(x_sums)
-    yv = np.asarray(y_sums)
-    if xv.size == 0 or yv.size == 0:
+    if not (np.size(x_sums) and np.size(y_sums)):
         raise EmptySample("pearson_ed needs observations on both sides")
-    xv = _integer_values(xv, "summed observations")
-    yv = _integer_values(yv, "summed observations")
+    xv, yv = (_integer_values(np.asarray(v), "summed observations")
+              for v in (x_sums, y_sums))
     top = _support_degree(max(xv.max(), yv.max(), 0))
     cx = _counts(xv, top, "summed observations")
     cy = _counts(yv, top, "summed observations")
@@ -605,13 +587,12 @@ def gof_test(x, z, rank_policy="analytic", support_lens=None) -> TestReport:
     falls back to the Pearson value (``fallback_used`` is set); the dof
     then stays at the fixed rank if one was requested.
     """
-    arrays, lens, offset, was_canonical = _coerce_samples(x, support_lens)
+    arrays, epmvs, offset, _ = _coerce_samples(x, support_lens)
     if len(arrays) < 2:
         raise NeedTwoVariables(f"gof_test requires k >= 2 variables, got {len(arrays)}")
-    epmvs = [empirical_pmv(v, r) for v, r in zip(arrays, lens)]
     s = sum(e.pmv.r for e in epmvs)
     label, fixed_r = _parse_policy(rank_policy, s)
-    z = z if isinstance(z, PMV) else PMV(z)
+    z = _as_pmv(z)
     if z.support_len != s + 1:
         raise SupportMismatch(
             f"z has {z.support_len} cells but the combined support has "
@@ -655,12 +636,10 @@ def ed_test(
     padding the shorter side (flagged in diagnostics; the analytic rank
     policy then degrades to numeric).
     """
-    x_arrays, x_lens, x_offset, x_canon = _coerce_samples(x, x_support_lens)
-    y_arrays, y_lens, y_offset, y_canon = _coerce_samples(y, y_support_lens)
+    x_arrays, x_epmvs, x_offset, x_canon = _coerce_samples(x, x_support_lens)
+    y_arrays, y_epmvs, y_offset, y_canon = _coerce_samples(y, y_support_lens)
     if len(x_arrays) + len(y_arrays) < 2:
         raise NeedTwoVariables("ed_test needs at least two variables in total")
-    x_epmvs = [empirical_pmv(v, r) for v, r in zip(x_arrays, x_lens)]
-    y_epmvs = [empirical_pmv(v, r) for v, r in zip(y_arrays, y_lens)]
     s_x = sum(e.pmv.r for e in x_epmvs)
     s_y = sum(e.pmv.r for e in y_epmvs)
     s = max(s_x, s_y)
@@ -807,17 +786,16 @@ def oracle_statistics(
     PMV has zero cells; ``dof_gf`` / ``dof_ed`` must be integers in
     ``1..max(1, s)``.
     """
-    x_pmvs = covest._as_pmvs(x_pmvs)
+    x_pmvs = [_as_pmv(p) for p in x_pmvs]
     s = sum(p.r for p in x_pmvs)
     dof_gf, dof_ed = (None if d is None else _parse_policy(_integer(k, d), s)[1]
                       for k, d in (("dof_gf", dof_gf), ("dof_ed", dof_ed)))
     if (y is None) != (y_pmvs is None):
         raise InputError("oracle_statistics needs y and y_pmvs together")
-    sides = [x_pmvs] if y is None else [x_pmvs, covest._as_pmvs(y_pmvs)]
+    sides = [x_pmvs] if y is None else [x_pmvs, [_as_pmv(p) for p in y_pmvs]]
     if sum(p.r for p in sides[-1]) != s:
         raise SupportMismatch("x and y sides have different support degrees")
-    hats = [[empirical_pmv(v, p.r) for v, p in
-             zip(_coerce_samples(data, [p.r for p in side])[0], side)]
+    hats = [_coerce_samples(data, [p.r for p in side])[1]
             for data, side in zip((x, y), sides)]
     sizes = [e.n for side in hats for e in side]
     m = min(sizes)
@@ -826,7 +804,7 @@ def oracle_statistics(
             in zip(sides, (2, 1), ("psi", "xi"))]
     conv_x, *conv_y = [_products([e.pmv.probs for e in side])[1]
                        for side in hats]
-    z = PMV(_products(true[0])[1]) if z is None else covest._as_pmvs([z])[0]
+    z = PMV(_products(true[0])[1]) if z is None else _as_pmv(z)
     if z.support_len != conv_x.size:
         raise SupportMismatch(
             f"z has {z.support_len} cells, expected {conv_x.size}"

@@ -6,6 +6,8 @@ discrete convolution (the distribution of a sum of independent variables),
 the one prefix/suffix pass that gives a family's leave-one-out
 convolutions and its full convolution together (``_products``), the banded
 convolution matrix, and the multinomial covariance matrix.
+It owns the two input readers: ``_side_pmvs`` (samples to empirical PMVs)
+and ``_as_pmv`` (a PMV argument), and one dtype rule, ``_real_array``.
 """
 
 import math
@@ -68,7 +70,7 @@ class PMV:
     __slots__ = ("_probs",)
 
     def __init__(self, probs):
-        p = np.array(probs, dtype=float)
+        p = np.array(_real_array(probs, InvalidPMV, "PMV entries"), float)
         if p.ndim != 1 or p.size == 0:
             raise InvalidPMV("PMV must be a nonempty 1-D vector")
         # Two reductions on the valid path: NaN fails the minimum test and
@@ -147,14 +149,20 @@ class EmpiricalPMV:
     n: int
 
 
+def _as_pmv(p) -> PMV:
+    """A ``PMV`` as is, an ``EmpiricalPMV``'s ``.pmv``, else ``PMV(p)``."""
+    p = p.pmv if isinstance(p, EmpiricalPMV) else p
+    return p if isinstance(p, PMV) else PMV(p)
+
+
 def empirical_pmv(samples, r: int) -> EmpiricalPMV:
     """Estimate a PMV on ``{0, ..., r}`` by relative frequencies.
 
     Raises ``EmptySample`` for empty input, ``DimensionMismatch`` for
-    input that is not 1-D, ``DomainError`` for NaN or infinity,
-    ``InputError`` for a non-integral ``r``, and ``SupportViolation`` for
-    an ``r`` outside ``0..MAX_SUPPORT`` or when any observation is
-    non-integral or outside ``{0, ..., r}``.
+    input that is not 1-D, ``DomainError`` for NaN, infinity or non-real
+    values, ``InputError`` for a non-integral ``r``, and
+    ``SupportViolation`` for an ``r`` outside ``0..MAX_SUPPORT`` or when
+    any observation is non-integral or outside ``{0, ..., r}``.
     """
     values = np.asarray(samples)
     if values.size == 0:
@@ -162,6 +170,23 @@ def empirical_pmv(samples, r: int) -> EmpiricalPMV:
     values = _integer_values(values, "observations")
     counts = _counts(values, _support_degree(r), "observations")
     return EmpiricalPMV(pmv=PMV(counts / values.size), n=values.size)
+
+
+def _side_pmvs(samples, support_lens=None):
+    """``(arrays, empirical PMVs)`` of one side's nonempty, finite, real
+    samples on ``support_lens`` or their maxima, one int64 copy at a time."""
+    arrays = [_real_array(v, DomainError, f"variable {i} values")
+              for i, v in enumerate(samples)]
+    for i, v in enumerate(arrays):
+        if v.size == 0:
+            raise EmptySample(f"variable {i} has no observations")
+        _require_finite(v, f"variable {i}")
+    lens = ([int(np.max(v)) for v in arrays] if support_lens is None
+            else list(support_lens))
+    if len(lens) != len(arrays):
+        raise DimensionMismatch(
+            f"{len(lens)} support lengths for {len(arrays)} variables")
+    return arrays, [empirical_pmv(v, r) for v, r in zip(arrays, lens)]
 
 
 def _counts(values, r: int, what: str) -> np.ndarray:
@@ -191,13 +216,22 @@ def _support_degree(r) -> int:
     return r
 
 
+def _real_array(values, error, what: str) -> np.ndarray:
+    """``values`` as an array of dtype kind b, i, u or f, or of objects that
+    are all ``numbers.Real`` (Python ints beyond int64); else ``error``."""
+    values = np.asarray(values)
+    if not (values.dtype.kind in "biuf" or values.dtype == object and all(
+            isinstance(v, numbers.Real) for v in values.flat)):
+        raise error(f"{what} must be real numbers, got {values.dtype}")
+    return values
+
+
 def _require_finite(values, what: str) -> None:
     """Raise ``DomainError`` when a float array holds NaN or infinity.
 
     The test is two reductions, since NaN or an infinity shows in the
     minimum or the maximum; the offender is looked up only on failure.
     """
-    values = np.asarray(values)
     if values.dtype.kind == "f" and values.size and not (
             np.isfinite(values.min()) and np.isfinite(values.max())):
         offender = values.ravel()[np.argmin(np.isfinite(values.ravel()))]
@@ -206,8 +240,8 @@ def _require_finite(values, what: str) -> None:
 
 def _integer_values(values: np.ndarray, what: str) -> np.ndarray:
     """An integer 1-D array of ``values``: another shape raises
-    ``DimensionMismatch``, NaN or infinity ``DomainError``, and a value
-    outside int64 (decided on the whole array) or a fraction
+    ``DimensionMismatch``, non-real values, NaN or infinity ``DomainError``,
+    and a value outside int64 (decided on the whole array) or a fraction
     ``SupportViolation``; other dtypes are cast in blocks, so the int64
     result is the one allocation that grows with the input."""
     if values.ndim != 1:
@@ -216,6 +250,7 @@ def _integer_values(values: np.ndarray, what: str) -> np.ndarray:
         )
     if values.dtype.kind in "iu":
         return values
+    _real_array(values, DomainError, what)
     # As Python scalars, so a float16 bound does not overflow on compare.
     lo, hi = np.array((values.min(), values.max())).tolist()
     if not -2.0**63 <= lo <= hi < 2.0**63:  # NaN fails too; a cast would wrap

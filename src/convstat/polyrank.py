@@ -34,7 +34,7 @@ import numpy as np
 
 from . import covest, symlin
 from .errors import DimensionMismatch, DomainError, NeedTwoVariables, ZeroInput
-from .pmv import PMV, _conv_matrix, _products
+from .pmv import PMV, _as_pmv, _conv_matrix, _products
 
 __all__ = [
     "GcdResult",
@@ -255,12 +255,12 @@ def covariance_rank(x_pmvs, y_pmvs=None) -> RankReport:
     support degree (pad caller-side otherwise).  PMVs may be given as
     ``PMV``, ``EmpiricalPMV`` or plain probability vectors.
     """
-    sides = [covest._as_pmvs(x_pmvs)]
+    sides = [[_as_pmv(p) for p in x_pmvs]]
     if not sides[0]:
         raise NeedTwoVariables("covariance_rank requires at least one PMV")
     s = sum(p.r for p in sides[0])
     if y_pmvs is not None:
-        sides.append(covest._as_pmvs(y_pmvs))
+        sides.append([_as_pmv(p) for p in y_pmvs])
         if not sides[1]:
             raise NeedTwoVariables("y side must contain at least one PMV")
         s_y = sum(p.r for p in sides[1])

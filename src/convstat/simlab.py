@@ -239,8 +239,6 @@ def _chi2_critical(alpha: float, dof: int) -> float:
     hi = 1.0
     while symlin.chi2_sf(hi, dof) > alpha:
         hi *= 2.0
-        if hi > 1e9:
-            break
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
