@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import (
     DegenerateVariable,
-    DimensionMismatch,
     DomainError,
     EmptySizes,
     InputError,
@@ -40,7 +39,7 @@ from .errors import (
 )
 from .pmv import (
     MAX_SUPPORT, EmpiricalPMV, PMV, _BLOCK, _as_pmv, _conv_matrix, _products,
-    _real_array, _require_finite, _side_pmvs, _support_degree,
+    _lengths, _real_array, _require_finite, _side_pmvs, _support_degree,
     empirical_pmv, multinomial_cov,
 )
 
@@ -247,12 +246,8 @@ def _paired_estimates(arr, support_lens=None):
     the first bad column.
     """
     m, k = arr.shape
-    if support_lens is None:
-        support_lens = [None] * k
-    elif len(support_lens) != k:
-        raise DimensionMismatch(
-            f"{len(support_lens)} support lengths for {k} columns"
-        )
+    support_lens = ([None] * k if support_lens is None
+                    else _lengths(support_lens, k, "columns"))
     try:
         caps = [MAX_SUPPORT if r is None else _support_degree(r)
                 for r in support_lens]

@@ -21,6 +21,7 @@ import numpy as np
 from . import covest, symlin
 from .errors import (
     DimensionMismatch,
+    DomainError,
     EmptySample,
     InputError,
     LatticeViolation,
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .pmv import (
     PMV, _BLOCK, _as_pmv, _counts, _integer, _integer_values, _products,
-    _real, _require_finite, _side_pmvs, _support_degree,
+    _real, _real_array, _require_finite, _side_pmvs, _support_degree,
 )
 from .polyrank import _numeric_rank, _rank_formula
 
@@ -65,14 +66,15 @@ _EPS = float(np.finfo(float).eps)
 class SampleSet:
     """Raw observations with the affine-model coefficients.
 
-    ``variables`` holds one 1-D array of lattice values per variable,
-    ``coeffs`` the integer multipliers ``a_i`` (default all 1; fractions
-    are refused, not truncated), ``offset`` the constant ``a_0`` (a
-    lattice point), ``zeta`` the lattice unit (finite and nonzero) and
-    ``names`` one label per variable (default ``X1, X2, ...``).  ``offset``
-    and ``zeta`` are stored as floats; a value that is not a real number
-    raises ``InputError`` and a ``names`` of the wrong length
-    ``DimensionMismatch``.
+    ``variables`` holds one 1-D array of lattice values per variable, read
+    by ``pmv._real_array`` (strings, complex values or a ragged nesting
+    raise ``DomainError``) and stored as float64, ``coeffs`` the integer
+    multipliers ``a_i`` (default all 1; fractions are refused, not
+    truncated), ``offset`` the constant ``a_0`` (a lattice point), ``zeta``
+    the lattice unit (finite and nonzero) and ``names`` one label per
+    variable (default ``X1, X2, ...``).  ``offset`` and ``zeta`` are stored
+    as floats; a value that is not a real number raises ``InputError`` and
+    a ``names`` of the wrong length ``DimensionMismatch``.
     """
 
     variables: tuple
@@ -82,7 +84,9 @@ class SampleSet:
     names: tuple = None
 
     def __post_init__(self):
-        arrays = tuple(np.asarray(v, dtype=float) for v in self.variables)
+        arrays = tuple(
+            np.asarray(_real_array(v, DomainError, f"variable {i} values"),
+                       dtype=float) for i, v in enumerate(self.variables))
         if not arrays:
             raise EmptySample("a SampleSet needs at least one variable")
         for i, v in enumerate(arrays):
@@ -382,51 +386,6 @@ def _psd_wald(vec, dec: symlin.EigenDecomp, r: int):
     return stat if stat.ndim else float(stat)
 
 
-def _resolve_dof(label, fixed_r, epmvs_sides, loos, dec, warnings,
-                 diagnostics):
-    """Degrees of freedom under the requested rank policy.
-
-    Returns ``(dof, label)``.  The analytic policy reads ``s - deg g`` and
-    the lower-bound policy ``s - deg g - zeros`` from
-    ``polyrank._rank_formula`` on the sides' leave-one-out lists ``loos``;
-    either is clamped to 1 with a warning.
-    The analytic policy silently degrades to the lower-bound path (with a
-    warning) when an empirical PMV has zero cells.
-    """
-    if fixed_r is not None:
-        strict = int(np.sum(symlin._above_cut(dec.values, symlin.PINV_TOL)))
-        if fixed_r > strict:
-            warnings.append(
-                f"fixed rank {fixed_r} exceeds the covariance estimate's "
-                f"rank {strict}; the missing directions contribute 0"
-            )
-        return fixed_r, label
-    if label == "numeric":
-        return max(1, _numeric_rank(dec.values)), label
-    formula = _rank_formula([[e.pmv for e in side] for side in epmvs_sides],
-                            loos)
-    diagnostics["gcd_degree"] = formula.gcd.degree
-    if label == "analytic" and formula.analytic is None:
-        warnings.append(
-            "empirical PMVs have zero cells; analytic rank unavailable, "
-            "using the lower-bound policy"
-        )
-        label = "lower_bound"
-    if label == "analytic":
-        diagnostics["gcd_residual"] = formula.gcd.residual
-        dof = formula.analytic
-    else:
-        diagnostics["zero_entry_count"] = formula.zeros
-        dof = formula.lower
-    if dof < 1:
-        warnings.append(
-            "analytic rank fell below 1; clamped to 1" if label == "analytic"
-            else f"rank lower bound {dof} is below 1; clamped to 1 "
-            "(test is conservative)"
-        )
-    return max(1, dof), label
-
-
 def _pearson_gof_stat(counts, probs):
     """Pearson sum of cell counts ``(..., c)`` against the PMV ``probs``.
 
@@ -471,12 +430,14 @@ def pearson_gof(sums, z, on_zero_expected: str = "error") -> TestReport:
             f"on_zero_expected must be 'error' or 'drop', got "
             f"{on_zero_expected!r}"
         )
-    if not np.size(sums):
+    values = _real_array(sums, DomainError, "summed observations")
+    if not values.size:
         raise EmptySample("pearson_gof needs at least one observation")
-    values = _integer_values(np.asarray(sums), "summed observations")
+    values = _integer_values(values, "summed observations")
     z = _as_pmv(z)
-    top = _support_degree(max(values.max(), 0))
-    counts = _counts(values, max(top, z.r), "summed observations")
+    high = values.max()
+    top = _support_degree(max(high, 0))
+    counts = _counts(values, max(top, z.r), "summed observations", high)
     positive = z.probs > 0.0
     dof = max(1, z.support_len - 1)
     warnings = []
@@ -512,13 +473,15 @@ def pearson_ed(x_sums, y_sums) -> TestReport:
     minus 1.  The diagnostics hold the observed ``cells`` and the
     ``x_counts`` and ``y_counts`` on them.
     """
-    if not (np.size(x_sums) and np.size(y_sums)):
-        raise EmptySample("pearson_ed needs observations on both sides")
-    xv, yv = (_integer_values(np.asarray(v), "summed observations")
+    xv, yv = (_real_array(v, DomainError, "summed observations")
               for v in (x_sums, y_sums))
-    top = _support_degree(max(xv.max(), yv.max(), 0))
-    cx = _counts(xv, top, "summed observations")
-    cy = _counts(yv, top, "summed observations")
+    if not (xv.size and yv.size):
+        raise EmptySample("pearson_ed needs observations on both sides")
+    xv, yv = (_integer_values(v, "summed observations") for v in (xv, yv))
+    x_high, y_high = xv.max(), yv.max()
+    top = _support_degree(max(x_high, y_high, 0))
+    cx = _counts(xv, top, "summed observations", x_high)
+    cy = _counts(yv, top, "summed observations", y_high)
     observed = _observed_cells(x_counts=cx, y_counts=cy)
     empty = cx.size - len(observed["cells"])
     warnings = [f"{empty} empty pooled cells merged from the support ends "
@@ -534,16 +497,6 @@ def _observed_cells(**counts) -> dict:
     cells = np.flatnonzero(sum(rest, first))  # one vector is not copied
     return {"cells": cells.tolist(),
             **{name: c[cells].tolist() for name, c in counts.items()}}
-
-
-def _base_diagnostics(dec=None, m=None, warnings=None, **extra) -> dict:
-    d = {"warnings": warnings if warnings is not None else []}
-    if dec is not None:
-        d["eigenvalues"] = dec.values.tolist()
-    if m is not None:
-        d["m"] = int(m)
-    d.update(extra)
-    return d
 
 
 def _pearson_fallback(base, why, n_discarded, label, fixed_r, warnings,
@@ -562,18 +515,64 @@ def _pearson_fallback(base, why, n_discarded, label, fixed_r, warnings,
         )
     warnings.extend(base.diagnostics.get("warnings", []))
     return _report(base.statistic, base.dof if fixed_r is None else fixed_r,
-                   label, _base_diagnostics(warnings=warnings, **extra),
-                   fallback_used=True)
+                   label, {"warnings": warnings, **extra}, fallback_used=True)
 
 
 def _wald_report(vec, cov, label, fixed_r, epmvs_sides, loos, warnings, m,
                  **extra):
-    """Report of the Wald form of ``vec`` in the PSD estimate ``cov``."""
+    """Report of the Wald form of ``vec`` in the PSD estimate ``cov``, the
+    one place where a test's rank policy becomes its dof:
+
+    - ``fixed(N)``: N, with a warning when N exceeds the estimate's rank
+      (its eigenvalues above ``PINV_TOL``); the missing directions give 0;
+    - ``numeric``: the eigenvalue count of ``polyrank._numeric_rank``;
+    - ``analytic``: ``s - deg g`` from ``polyrank._rank_formula`` on the
+      sides' leave-one-out lists ``loos``;
+    - ``lower_bound``: ``s - deg g - zeros``.
+
+    ``analytic`` falls back, with a warning, to ``numeric`` on zero-padded
+    sides (``extra["padded"]``), else to ``lower_bound`` on zero cells.
+    Any dof but a fixed one is clamped to 1, the analytic and lower-bound
+    ones with a warning.  The diagnostics keys are ``warnings``,
+    ``eigenvalues``, ``m``, those of ``extra``, then ``gcd_degree`` and
+    ``gcd_residual`` (analytic) or ``zero_entry_count`` (lower bound).
+    """
     dec = symlin._spectrum(cov)
-    diagnostics = _base_diagnostics(dec=dec, m=m, warnings=warnings, **extra)
-    dof, label = _resolve_dof(
-        label, fixed_r, epmvs_sides, loos, dec, warnings, diagnostics
-    )
+    diagnostics = {"warnings": warnings, "eigenvalues": dec.values.tolist(),
+                   "m": int(m), **extra}
+    if label == "analytic" and extra.get("padded"):
+        warnings.append("analytic rank is unavailable for padded supports; "
+                        "using the numeric policy")
+        label = "numeric"
+    if fixed_r is not None:
+        dof = fixed_r
+        rank = int(np.sum(symlin._above_cut(dec.values, symlin.PINV_TOL)))
+        if dof > rank:
+            warnings.append(f"fixed rank {dof} exceeds the covariance "
+                            f"estimate's rank {rank}; the missing directions "
+                            "contribute 0")
+    elif label == "numeric":
+        dof = max(1, _numeric_rank(dec.values))
+    else:
+        formula = _rank_formula([[e.pmv for e in side] for side in epmvs_sides],
+                                loos)
+        diagnostics["gcd_degree"] = formula.gcd.degree
+        if label == "analytic" and formula.analytic is None:
+            warnings.append("empirical PMVs have zero cells; analytic rank "
+                            "unavailable, using the lower-bound policy")
+            label = "lower_bound"
+        if label == "analytic":
+            diagnostics["gcd_residual"] = formula.gcd.residual
+            dof = formula.analytic
+        else:
+            diagnostics["zero_entry_count"] = formula.zeros
+            dof = formula.lower
+        if dof < 1:
+            warnings.append("analytic rank fell below 1; clamped to 1"
+                            if label == "analytic" else "rank lower bound "
+                            f"{dof} is below 1; clamped to 1 (test is "
+                            "conservative)")
+        dof = max(1, dof)
     return _report(_psd_wald(vec, dec, dof), dof, label, diagnostics)
 
 
@@ -606,19 +605,17 @@ def gof_test(x, z, rank_policy="analytic", support_lens=None) -> TestReport:
         raise ZeroExpected(
             "z has zero cells where the observed convolution has mass"
         )
-    warnings = []
-
     if not psi_m.any():
         sums, discarded = paired_sums(arrays)
         return _pearson_fallback(
             pearson_gof(sums, z, on_zero_expected="drop"),
             " (zero covariance estimate)", discarded, label, fixed_r,
-            warnings, m=m, total_offset=offset, discarded=discarded,
+            [], m=m, total_offset=offset, discarded=discarded,
         )
 
     v_m = math.sqrt(m) * (conv - z.probs)
-    return _wald_report(v_m, psi_m, label, fixed_r, [epmvs], loos, warnings,
-                        m=m, total_offset=offset)
+    return _wald_report(v_m, psi_m, label, fixed_r, [epmvs], loos, [], m=m,
+                        total_offset=offset)
 
 
 def ed_test(
@@ -680,12 +677,6 @@ def ed_test(
         )
 
     w_m = math.sqrt(m) * (conv_x - conv_y)
-    if label == "analytic" and padded:
-        warnings.append(
-            "analytic rank is unavailable for padded supports; using the "
-            "numeric policy"
-        )
-        label = "numeric"
     return _wald_report(w_m, total, label, fixed_r, [x_epmvs, y_epmvs], loos,
                         warnings, m=m, notes=notes, total_offset=x_offset,
                         padded=padded)
@@ -729,8 +720,7 @@ def subind_test(paired, rank_policy=None, support_lens=None) -> TestReport:
             "covariance estimate is identically zero (degenerate paired "
             "data); no evidence against the null"
         )
-        return _report(0.0, dof, label,
-                       _base_diagnostics(m=m, warnings=warnings),
+        return _report(0.0, dof, label, {"warnings": warnings, "m": m},
                        fallback_used=True)
 
     s_m = math.sqrt(m) * (conv - z_hat.pmv.probs)
@@ -742,8 +732,8 @@ def subind_test(paired, rank_policy=None, support_lens=None) -> TestReport:
             "form; clamped to 0"
         )
         statistic = 0.0
-    return _report(statistic, dof, label,
-                   _base_diagnostics(dec=dec, m=m, warnings=warnings))
+    return _report(statistic, dof, label, {
+        "warnings": warnings, "eigenvalues": dec.values.tolist(), "m": m})
 
 
 def _whitener(sides, weights):

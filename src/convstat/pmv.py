@@ -164,7 +164,7 @@ def empirical_pmv(samples, r: int) -> EmpiricalPMV:
     ``SupportViolation`` for an ``r`` outside ``0..MAX_SUPPORT`` or when
     any observation is non-integral or outside ``{0, ..., r}``.
     """
-    values = np.asarray(samples)
+    values = _real_array(samples, DomainError, "observations")
     if values.size == 0:
         raise EmptySample("no observations supplied")
     values = _integer_values(values, "observations")
@@ -182,20 +182,27 @@ def _side_pmvs(samples, support_lens=None):
             raise EmptySample(f"variable {i} has no observations")
         _require_finite(v, f"variable {i}")
     lens = ([int(np.max(v)) for v in arrays] if support_lens is None
-            else list(support_lens))
-    if len(lens) != len(arrays):
-        raise DimensionMismatch(
-            f"{len(lens)} support lengths for {len(arrays)} variables")
+            else _lengths(support_lens, len(arrays), "variables"))
     return arrays, [empirical_pmv(v, r) for v, r in zip(arrays, lens)]
 
 
-def _counts(values, r: int, what: str) -> np.ndarray:
+def _lengths(support_lens, k: int, what: str) -> list:
+    """``support_lens`` as a list of one entry for each of the ``k``
+    ``what``; a scalar or another count raises ``DimensionMismatch``."""
+    lens = list(support_lens) if np.iterable(support_lens) else None
+    if lens is None or len(lens) != k:
+        count = "scalar" if lens is None else len(lens)
+        raise DimensionMismatch(f"{count} support lengths for {k} {what}")
+    return lens
+
+
+def _counts(values, r: int, what: str, high=None) -> np.ndarray:
     """Cell counts on ``{0, ..., r}`` of the integer 1-D ``values``: one
-    bound check on the maximum keeps them small, ``bincount`` refuses a
-    negative value itself, and either failure raises ``SupportViolation``
-    with the observed range."""
+    bound check on the maximum (``high``, when given) keeps them small,
+    ``bincount`` refuses a negative value itself, and either failure
+    raises ``SupportViolation`` with the observed range."""
     try:
-        if values.max() <= r:
+        if (values.max() if high is None else high) <= r:
             return np.bincount(values, minlength=r + 1)
     except ValueError:
         pass
@@ -219,7 +226,11 @@ def _support_degree(r) -> int:
 def _real_array(values, error, what: str) -> np.ndarray:
     """``values`` as an array of dtype kind b, i, u or f, or of objects that
     are all ``numbers.Real`` (Python ints beyond int64); else ``error``."""
-    values = np.asarray(values)
+    try:
+        values = np.asarray(values)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise error(f"{what} must be real numbers, got a ragged "
+                    "nesting") from None
     if not (values.dtype.kind in "biuf" or values.dtype == object and all(
             isinstance(v, numbers.Real) for v in values.flat)):
         raise error(f"{what} must be real numbers, got {values.dtype}")
@@ -239,18 +250,17 @@ def _require_finite(values, what: str) -> None:
 
 
 def _integer_values(values: np.ndarray, what: str) -> np.ndarray:
-    """An integer 1-D array of ``values``: another shape raises
-    ``DimensionMismatch``, non-real values, NaN or infinity ``DomainError``,
-    and a value outside int64 (decided on the whole array) or a fraction
-    ``SupportViolation``; other dtypes are cast in blocks, so the int64
-    result is the one allocation that grows with the input."""
+    """An integer 1-D array of the real ``values`` (``_real_array``):
+    another shape raises ``DimensionMismatch``, NaN or infinity
+    ``DomainError``, and a value outside int64 (decided on the whole array)
+    or a fraction ``SupportViolation``; other dtypes are cast in blocks, so
+    the int64 result is the one allocation that grows with the input."""
     if values.ndim != 1:
         raise DimensionMismatch(
             f"{what} must be a 1-D array, got shape {values.shape}"
         )
     if values.dtype.kind in "iu":
         return values
-    _real_array(values, DomainError, what)
     # As Python scalars, so a float16 bound does not overflow on compare.
     lo, hi = np.array((values.min(), values.max())).tolist()
     if not -2.0**63 <= lo <= hi < 2.0**63:  # NaN fails too; a cast would wrap

@@ -22,7 +22,9 @@ import pytest
 from convstat import (
     PMV,
     CanonicalSamples,
+    SampleSet,
     TestReport,
+    canonicalize,
     cli,
     covariance_rank,
     ed_test,
@@ -34,7 +36,9 @@ from convstat import (
     pmv,
     psi,
     psi_hat,
+    subind_test,
     symlin,
+    upsilon_hat,
     weights_from_sizes,
     xi,
     xi_hat,
@@ -60,6 +64,7 @@ HALF = PMV([0.5, 0.5])
 THIRDS = PMV([0.2, 0.5, 0.3])
 Z = pmv.convolve(THIRDS, HALF)
 GOOD = np.array([0, 1, 1, 0])
+PAIRED = np.stack([X[1][:25], Y[0]], axis=1)
 
 
 @pytest.fixture
@@ -131,6 +136,7 @@ BAD_SAMPLES = {
     "numeric_strings": ["0", "1"],
     "complex": np.array([0, 1j]),
     "objects": np.array([0, None], dtype=object),
+    "ragged": [[0], [0, 1]],
 }
 SAMPLE_CALLS = {
     "empirical_pmv": lambda bad: empirical_pmv(bad, 1),
@@ -143,6 +149,7 @@ SAMPLE_CALLS = {
                                                        [HALF, HALF]),
     "pearson_gof": lambda bad: pearson_gof(bad, Z),
     "pearson_ed": lambda bad: pearson_ed(GOOD, bad),
+    "SampleSet": lambda bad: canonicalize(SampleSet(variables=(GOOD, bad))),
 }
 BAD_PMVS = {
     "nan": [math.nan, 1.0],
@@ -151,6 +158,7 @@ BAD_PMVS = {
     "numeric_strings": ["0.5", "0.5"],
     "complex": [0.5 + 1j, 0.5],
     "complex_array": np.array([0.5, 0.5], dtype=complex),
+    "ragged": [[0.5], [0.5, 0.2]],
 }
 PMV_CALLS = {
     "PMV": PMV,
@@ -171,6 +179,7 @@ BAD_WEIGHTS = {
     "zero": [0.0, 1.0],
     "strings": ["a", "1"],
     "complex": [1j, 1.0],
+    "ragged": [[1, 2], [3]],
 }
 WEIGHT_CALLS = {
     "psi": lambda w: psi([HALF, THIRDS], w),
@@ -185,6 +194,13 @@ SHORT_LENS = {
     "xi_hat": lambda: xi_hat(X, [2, 1, 1]),
     "canonical": lambda: gof_test(
         CanonicalSamples(tuple(X), 0, (2,), ("A", "B")), Z),
+    "gof_test_scalar": lambda: gof_test(X, Z, support_lens=3),
+    "ed_test_x_scalar": lambda: ed_test(X, Y, x_support_lens=1),
+    "ed_test_y_scalar": lambda: ed_test(X, Y, y_support_lens=np.int64(2)),
+    "psi_hat_scalar": lambda: psi_hat(X, 1),
+    "xi_hat_scalar": lambda: xi_hat(X[:1], 2),
+    "subind_test_scalar": lambda: subind_test(PAIRED, support_lens=2),
+    "upsilon_hat_scalar": lambda: upsilon_hat(PAIRED, 2),
 }
 
 
