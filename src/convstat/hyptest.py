@@ -68,7 +68,8 @@ class SampleSet:
 
     ``variables`` holds one 1-D array of lattice values per variable, read
     by ``pmv._real_array`` (strings, complex values or a ragged nesting
-    raise ``DomainError``) and stored as float64, ``coeffs`` the integer
+    raise ``DomainError``, another shape ``DimensionMismatch`` and an empty
+    array ``EmptySample``) and stored as float64, ``coeffs`` the integer
     multipliers ``a_i`` (default all 1; fractions are refused, not
     truncated), ``offset`` the constant ``a_0`` (a lattice point), ``zeta``
     the lattice unit (finite and nonzero) and ``names`` one label per
@@ -90,7 +91,10 @@ class SampleSet:
         if not arrays:
             raise EmptySample("a SampleSet needs at least one variable")
         for i, v in enumerate(arrays):
-            if v.ndim != 1 or v.size == 0:
+            if v.ndim != 1:
+                raise DimensionMismatch(f"variable {i} values must be a 1-D "
+                                        f"array, got shape {v.shape}")
+            if v.size == 0:
                 raise EmptySample(f"variable {i} has no observations")
         coeffs = self.coeffs
         if coeffs is None:
@@ -483,10 +487,11 @@ def pearson_ed(x_sums, y_sums) -> TestReport:
     cx = _counts(xv, top, "summed observations", x_high)
     cy = _counts(yv, top, "summed observations", y_high)
     observed = _observed_cells(x_counts=cx, y_counts=cy)
-    empty = cx.size - len(observed["cells"])
+    cells = observed["cells"]
+    empty = cx.size - len(cells)
     warnings = [f"{empty} empty pooled cells merged from the support ends "
                 "inward"] if empty else []
-    statistic, dof = _pearson_ed_stat(cx, cy)
+    statistic, dof = _pearson_ed_stat(cx[cells], cy[cells])
     return _report(float(statistic), int(dof), "pearson",
                    {"warnings": warnings, **observed})
 
@@ -556,13 +561,13 @@ def _wald_report(vec, cov, label, fixed_r, epmvs_sides, loos, warnings, m,
     else:
         formula = _rank_formula([[e.pmv for e in side] for side in epmvs_sides],
                                 loos)
-        diagnostics["gcd_degree"] = formula.gcd.degree
+        diagnostics["gcd_degree"] = formula.degree
         if label == "analytic" and formula.analytic is None:
             warnings.append("empirical PMVs have zero cells; analytic rank "
                             "unavailable, using the lower-bound policy")
             label = "lower_bound"
         if label == "analytic":
-            diagnostics["gcd_residual"] = formula.gcd.residual
+            diagnostics["gcd_residual"] = formula.residual
             dof = formula.analytic
         else:
             diagnostics["zero_entry_count"] = formula.zeros

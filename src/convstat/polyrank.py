@@ -8,23 +8,25 @@ matrix of the convolution statistic: for interior PMVs the rank is
 that value minus the number of zero PMV entries is a lower bound.
 
 Floating-point gcds are ill-posed, so the gcd of several polynomials is
-read from one SVD of their generalized Sylvester matrix (the stacked
-convolution-transpose blocks of every input): the degree is the matrix's
-nullity at a singular-value cut, and the coefficients are the common null
-vector of the Hankel windows of its null space (``_sylvester_gcd``).
+read from their generalized Sylvester matrix (the stacked
+convolution-transpose blocks of every input) in two steps.  The decision
+(``_sylvester``) takes its singular values alone: the degree is the
+matrix's nullity at a singular-value cut.  The polynomial (``_gcd``) is
+taken only where a gcd is returned: its coefficients are the common null
+vector of the Hankel windows of the matrix's null space.
 
-This module is the one owner of every rank decision: the gcd of the
-leave-one-out PGFs (``_sides_gcd``, one SVD of the covariance's own
-stacked factor with the size-derived cut ``max(shape) * eps``, read from
-the same ``pmv._products`` pass as the covariance), the
-numeric eigenvalue count (``_numeric_rank``) and the rank formulas
-``s - deg g`` and ``s - deg g - zeros`` (``_rank_formula``).  The public
-``gcd_degree`` / ``gcd_many`` take a relative cut, ``GCD_TOL`` by
-default; ``RANK_TOL`` is the eigenvalue cut.  Every one of these cuts,
-and the trim of trailing coefficients, is ``symlin._above_cut`` at its
-own tolerance.  ``covariance_rank``, the tests' rank policies and the
-oracle statistics in :mod:`convstat.hyptest` all read ``_rank_formula``
-and ``_numeric_rank``; none keeps a copy.
+This module is the one owner of every rank decision: the gcd degree of
+the leave-one-out PGFs (``_sides_gcd``, the singular values of the
+covariance's own stacked factor with the size-derived cut
+``max(shape) * eps``, read from the same ``pmv._products`` pass as the
+covariance), the numeric eigenvalue count (``_numeric_rank``) and the
+rank formulas ``s - deg g`` and ``s - deg g - zeros`` (``_rank_formula``).
+The public ``gcd_degree`` / ``gcd_many`` take a relative cut,
+``GCD_TOL`` by default; ``RANK_TOL`` is the eigenvalue cut.  Every one of
+these cuts, and the trim of trailing coefficients, is
+``symlin._above_cut`` at its own tolerance.  ``covariance_rank``, the
+tests' rank policies and the oracle statistics in :mod:`convstat.hyptest`
+all read ``_rank_formula`` and ``_numeric_rank``; none keeps a copy.
 """
 
 from dataclasses import dataclass
@@ -110,47 +112,49 @@ def _trim(vec) -> np.ndarray:
     return vec[: keep[-1] + 1]
 
 
-def _normalize(g: np.ndarray):
-    # A sum below 1e-8 of the peak has lost half the digits to
-    # cancellation, so the sum-1 scaling would amplify roundoff.
-    peak = float(g[np.argmax(np.abs(g))])
-    total = float(g.sum())
-    unstable = abs(total) < 1e-8 * abs(peak)
-    return g / (peak if unstable else total), unstable
-
-
-def _sylvester_gcd(polys, n: int, tol) -> GcdResult:
-    """gcd of trimmed coefficient vectors from one generalized Sylvester SVD.
+def _sylvester(polys, n: int, tol):
+    """``(degree, residual, stacked)`` of the gcd of trimmed coefficient
+    vectors, from the singular values of one generalized Sylvester matrix.
 
     Each ``f`` contributes the ``n - f.size + 1`` shifts ``t^j f`` as rows
     of ``n`` columns; when ``n`` is large enough their span is ``g`` times
     every polynomial of degree ``< n - deg g``, so ``deg g = n - rank``.
     Singular values at or below ``tol * sigma_max`` count as zero (``tol``
-    is None for the size-derived cut ``max(shape) * eps``).  The shifts of
-    ``g`` are orthogonal to the null space, so ``g`` is the null vector of
-    the stacked length-``deg g + 1`` Hankel windows of the null vectors;
-    singular vectors are computed only when the degree is positive.  A
-    constant input makes the gcd 1 without a decomposition.
+    is None for the size-derived cut ``max(shape) * eps``).  ``residual``
+    is ``GcdResult.residual`` and ``stacked`` the matrix, for ``_gcd``.  A
+    constant input gives ``(0, 1.0, None)`` without a decomposition.
     """
     if min(f.size for f in polys) == 1:
-        return GcdResult(degree=0, gcd_coeffs=np.array([1.0]), residual=1.0)
+        return 0, 1.0, None
     stacked = np.vstack([_conv_matrix(f, n - f.size + 1).T for f in polys])
     sv = np.linalg.svd(stacked, compute_uv=False)
     if tol is None:
         tol = max(stacked.shape) * np.finfo(float).eps
     rank = int(np.sum(symlin._above_cut(sv, tol)))
-    degree = n - rank
-    residual = float(sv[rank - 1] / sv[0])
+    return n - rank, float(sv[rank - 1] / sv[0]), stacked
+
+
+def _gcd(degree: int, residual: float, stacked) -> GcdResult:
+    """The ``GcdResult`` of a ``_sylvester`` decision.
+
+    The shifts of ``g`` are orthogonal to the null space of ``stacked``,
+    so ``g`` is the null vector of the stacked length-``deg g + 1`` Hankel
+    windows of the null vectors; singular vectors are computed only when
+    the degree is positive.
+    """
     if degree == 0:
         return GcdResult(degree=0, gcd_coeffs=np.array([1.0]), residual=residual)
+    rank = stacked.shape[1] - degree
     null = np.linalg.svd(stacked)[2][rank:]
     windows = null[:, np.arange(rank)[:, None] + np.arange(degree + 1)]
     g = np.linalg.svd(windows.reshape(-1, degree + 1))[2][-1]
-    g, unstable = _normalize(g)
-    return GcdResult(
-        degree=degree, gcd_coeffs=g, residual=residual,
-        unstable_normalization=unstable,
-    )
+    # A sum below 1e-8 of the peak has lost half the digits to
+    # cancellation, so the sum-1 scaling would amplify roundoff.
+    peak = float(g[np.argmax(np.abs(g))])
+    total = float(g.sum())
+    unstable = abs(total) < 1e-8 * abs(peak)
+    return GcdResult(degree, g / (peak if unstable else total), residual,
+                     unstable_normalization=unstable)
 
 
 def gcd_degree(v, w, tol: float = GCD_TOL) -> GcdResult:
@@ -163,7 +167,8 @@ def gcd_degree(v, w, tol: float = GCD_TOL) -> GcdResult:
 
 
 def gcd_many(vs, tol: float = GCD_TOL) -> GcdResult:
-    """Numerical gcd of a sequence of coefficient vectors in one SVD.
+    """Numerical gcd of a sequence of coefficient vectors from one
+    generalized Sylvester matrix: ``_sylvester``, then ``_gcd``.
 
     The generalized Sylvester matrix has ``n`` columns, the two largest
     input sizes less one, which for two vectors is their Sylvester matrix.
@@ -176,7 +181,7 @@ def gcd_many(vs, tol: float = GCD_TOL) -> GcdResult:
     if not vs:
         raise ZeroInput("gcd_many requires at least one vector")
     n = sum(sorted(v.size - 1 for v in vs)[-2:]) + 1
-    return _sylvester_gcd(vs, n, tol)
+    return _gcd(*_sylvester(vs, n, tol))
 
 
 def leave_one_out(pmvs) -> list:
@@ -193,8 +198,9 @@ def leave_one_out(pmvs) -> list:
     return [PMV(p) for p in _products([p.probs for p in pmvs])[0]]
 
 
-def _sides_gcd(loos, n: int) -> GcdResult:
-    """gcd of every side's leave-one-out PGFs in one Sylvester SVD.
+def _sides_gcd(loos, n: int) -> tuple:
+    """``_sylvester`` decision on every side's leave-one-out PGFs: one
+    singular-value pass.
 
     ``loos`` holds each side's leave-one-out list from its
     ``pmv._products`` pass, the same one the covariance reads.  The matrix
@@ -205,7 +211,7 @@ def _sides_gcd(loos, n: int) -> GcdResult:
     a block more shifts, and a one-variable side contributes the identity
     ``(1,)``, so its gcd is 1.  The cut is ``max(shape) * eps * sigma_max``.
     """
-    return _sylvester_gcd([_trim(f) for loo in loos for f in loo], n, None)
+    return _sylvester([_trim(f) for loo in loos for f in loo], n, None)
 
 
 def _numeric_rank(values) -> int:
@@ -217,7 +223,9 @@ class _RankFormula(NamedTuple):
     """The rank formulas of one family of PMV sides (``_rank_formula``)."""
 
     s: int
-    gcd: GcdResult
+    degree: int
+    residual: float
+    sylvester: Optional[np.ndarray]
     analytic: Optional[int]
     lower: int
     zeros: int
@@ -229,7 +237,9 @@ def _rank_formula(sides, loos) -> _RankFormula:
 
     ``s`` is the largest side's total support degree and ``g`` the gcd of
     every side's leave-one-out PGFs (``_sides_gcd``); ``loos`` holds each
-    side's leave-one-out list from its ``pmv._products`` pass.  ``analytic`` is
+    side's leave-one-out list from its ``pmv._products`` pass, and
+    ``degree``, ``residual`` and ``sylvester`` are its ``_sylvester``
+    decision (no gcd polynomial is formed).  ``analytic`` is
     ``s - deg g`` when every PMV is interior and None otherwise;
     ``lower`` also subtracts ``zeros``, the count of zero PMV entries, and
     is not floored.  ``zero_sets`` holds each PMV's zero indices; they are
@@ -237,13 +247,13 @@ def _rank_formula(sides, loos) -> _RankFormula:
     """
     pmvs = [p for side in sides for p in side]
     s = max(sum(p.r for p in side) for side in sides)
-    gcd = _sides_gcd(loos, s + 1)
-    rank = s - gcd.degree
+    decision = _sides_gcd(loos, s + 1)
+    rank = s - decision[0]
     if all(p.interior for p in pmvs):
-        return _RankFormula(s, gcd, rank, rank, 0, ((),) * len(pmvs))
+        return _RankFormula(s, *decision, rank, rank, 0, ((),) * len(pmvs))
     zero_sets = tuple(p.zero_indices for p in pmvs)
     zeros = sum(len(z) for z in zero_sets)
-    return _RankFormula(s, gcd, None, rank - zeros, zeros, zero_sets)
+    return _RankFormula(s, *decision, None, rank - zeros, zeros, zero_sets)
 
 
 def covariance_rank(x_pmvs, y_pmvs=None) -> RankReport:
@@ -278,6 +288,6 @@ def covariance_rank(x_pmvs, y_pmvs=None) -> RankReport:
         lower_bound=max(0, formula.lower),
         numeric_rank=_numeric_rank(dec.values),
         zero_index_sets=formula.zero_sets,
-        gcd=formula.gcd,
+        gcd=_gcd(formula.degree, formula.residual, formula.sylvester),
         eigenvalues=dec.values,
     )

@@ -362,8 +362,10 @@ def run_scenario(scn: SimScenario, workers: int = 1) -> SimResult:
 
     With ``workers > 1`` the replicates are split into contiguous blocks
     handled by a pool of at most one process per block; the counter-based
-    RNG keying makes the result identical to a serial run.
+    RNG keying makes the result identical to a serial run.  ``workers``
+    must be an integer (``InputError`` otherwise); at most 1 runs serially.
     """
+    workers = _integer("workers", workers)
     if workers <= 1:
         rejects, falls = _count_block((scn, 0, scn.L))
     else:
@@ -371,12 +373,12 @@ def run_scenario(scn: SimScenario, workers: int = 1) -> SimResult:
         # import time and memory.
         import multiprocessing
 
-        chunk = -(-scn.L // int(workers))
+        chunk = -(-scn.L // workers)
         blocks = [
             (scn, start, min(start + chunk, scn.L))
             for start in range(0, scn.L, chunk)
         ]
-        with multiprocessing.Pool(min(int(workers), len(blocks))) as pool:
+        with multiprocessing.Pool(min(workers, len(blocks))) as pool:
             parts = pool.map(_count_block, blocks)
         rejects = sum(p[0] for p in parts)
         falls = sum(p[1] for p in parts)

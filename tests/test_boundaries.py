@@ -46,6 +46,7 @@ from convstat.simlab import (
     SimScenario,
     load_config,
     rejection_proportion,
+    run_scenario,
     sweep,
 )
 
@@ -87,6 +88,18 @@ SCENARIO = SimScenario(p=0.3, q=0.8, rho=0.2, n1=5, n2=5, n3=5, L=4, seed=1)
      InputError, "unknown statistic 'XX'"),
     (lambda: sweep(SCENARIO, "zz", [1]),
      InputError, "unknown sweep axis 'zz'"),
+    (lambda: run_scenario(SCENARIO, workers="2"),
+     InputError, "workers must be an integer, got '2'"),
+    (lambda: run_scenario(SCENARIO, workers=None),
+     InputError, "workers must be an integer, got None"),
+    (lambda: run_scenario(SCENARIO, workers=2.5),
+     InputError, "workers must be an integer, got 2.5"),
+    (lambda: run_scenario(SCENARIO, workers=True),
+     InputError, "workers must be an integer, got True"),
+    (lambda: sweep(SCENARIO, "m", [5], workers=2.5),
+     InputError, "workers must be an integer, got 2.5"),
+    (lambda: rejection_proportion(SCENARIO, "C1_GF", workers="2"),
+     InputError, "workers must be an integer, got '2'"),
     (lambda: SampleSet(variables=([0, 1], [])),
      EmptySample, "variable 1 has no observations"),
     (lambda: pearson_gof([], Z),
@@ -106,6 +119,8 @@ SCENARIO = SimScenario(p=0.3, q=0.8, rho=0.2, n1=5, n2=5, n3=5, L=4, seed=1)
     "subind_one_column", "subind_numeric", "rank_no_pmv", "rank_empty_y",
     "ed_one_variable", "gof_no_variables", "gof_empty_variable", "sampleset_no_variables",
     "sampleset_coefficients", "unknown_statistic", "unknown_axis",
+    "workers_string", "workers_none", "workers_fraction", "workers_bool",
+    "sweep_workers_fraction", "rejection_workers_string",
     "sampleset_empty_variable", "pearson_gof_empty", "pearson_ed_empty",
     "pmv_two_dimensional", "conv_matrix_no_column", "not_square",
     "chi2_sf_nan", "not_a_table",

@@ -40,6 +40,9 @@ def test_last_bit_and_signed_zero_differences_are_found():
     found = tool.diff(tool.canon(base), tool.canon(signed))
     assert found.startswith("output.diagnostics.v:")
     assert tool.diff(tool.canon(np.arange(3)), tool.canon(np.arange(3.0)))
+    reordered = Report(1.0, {"v": np.arange(3.0), "eigenvalues": [0.5, 0.25]})
+    found = tool.diff(tool.canon(base), tool.canon(reordered))
+    assert found.startswith("output.diagnostics.__keys__[0]: 'eigenvalues'")
 
 
 def test_a_checkout_against_itself_smoke():

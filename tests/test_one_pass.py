@@ -4,7 +4,8 @@
 and the Wald vector, the covariance factor and the Sylvester gcd all read
 that one pass.  These tests count the passes, and the ``convolve_all``
 folds, inside every public test and ``covariance_rank``, so a second pass
-cannot come back unnoticed.
+cannot come back unnoticed.  A rank decision takes one singular-value pass,
+and only ``covariance_rank`` goes on to the gcd's coefficients.
 """
 
 import sys
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from convstat import PMV, covariance_rank, ed_test, gof_test, pmv, subind_test
+from convstat.hyptest import oracle_statistics
 
 POLICIES = ["analytic", "numeric", "lower", "fixed:2"]
 RNG = np.random.default_rng(8)
@@ -23,6 +25,9 @@ ZERO_CELL = [np.array([0, 2, 2, 0]), RNG.integers(0, 3, 30)]
 POINT_MASSES = [np.full(10, 2), np.full(12, 1)]
 Z = pmv.convolve_all([PMV([0.3, 0.4, 0.3]), PMV([0.2, 0.5, 0.3]),
                       PMV([0.6, 0.4])])
+# Three equal Bernoulli samples: each leave-one-out PGF is the square of
+# the same factor, so deg g = 2.
+SHARED = [np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 1])] * 3
 
 
 @pytest.fixture
@@ -84,3 +89,41 @@ def test_covariance_rank_one_pass_per_side(calls, sides):
     y = [PMV([0.1, 0.6, 0.3]), PMV([0.4, 0.6])] if sides == 2 else None
     covariance_rank(x, y)
     assert calls == Counter({"_products": sides})
+
+
+@pytest.fixture
+def svds(monkeypatch):
+    """The ``compute_uv`` flag of every ``np.linalg.svd`` call."""
+    flags = []
+    original = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        flags.append(kwargs.get("compute_uv", True))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return flags
+
+
+@pytest.mark.parametrize("policy", ["analytic", "lower"])
+@pytest.mark.parametrize("call", [
+    lambda policy: gof_test(SHARED, pmv.convolve_all([PMV([0.5, 0.5])] * 3),
+                            rank_policy=policy),
+    lambda policy: ed_test(SHARED, SHARED, rank_policy=policy),
+], ids=["gof", "ed"])
+def test_rank_decision_takes_singular_values_only(svds, call, policy):
+    assert call(policy).diagnostics["gcd_degree"] == 2
+    assert svds == [False]
+
+
+def test_oracle_decision_takes_singular_values_only(svds):
+    gof, _ = oracle_statistics(SHARED, [PMV([0.4, 0.6])] * 3)
+    assert gof.dof == 1
+    assert svds == [True, False]  # the whitener, then the gcd degree
+
+
+def test_covariance_rank_recovers_the_gcd(svds):
+    report = covariance_rank([PMV([0.4, 0.6])] * 3)
+    assert report.gcd.degree == 2
+    np.testing.assert_allclose(report.gcd.gcd_coeffs, [0.16, 0.48, 0.36])
+    assert svds == [False, True, True]

@@ -98,6 +98,13 @@ class TestObservedCells:
         assert len(diag["cells"]) <= 4
         assert len(json.dumps(diag)) < 400
 
+    def test_pearson_ed_statistic_reads_only_observed_cells(self):
+        # The two dense count vectors take 16 MiB; the statistic's own
+        # temporaries then cover the 2 observed cells, not all 2^20 + 1.
+        report, peak = traced_peak(pearson_ed, [0, 2**20], [0, 1])
+        assert report.diagnostics["cells"] == [0, 1, 2**20]
+        assert peak <= 26 * 2**20
+
 
 class TestNoWarningEscapes:
     @pytest.mark.filterwarnings("error")

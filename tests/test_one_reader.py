@@ -235,6 +235,8 @@ def test_wrong_number_of_support_lengths(call):
      DomainError, "variable 1: non-finite value inf"),
     (lambda: xi_hat([[0, 1], []]),
      EmptySample, "variable 1 has no observations"),
+    (lambda: SampleSet(variables=([[0, 1], [1, 2]],)), DimensionMismatch,
+     r"variable 0 values must be a 1-D array, got shape \(2, 2\)"),
     (lambda: gof_test([[0, 0.5]], HALF),
      SupportViolation, "observations must be integers"),
     (lambda: gof_test([[0, 1]], HALF),
@@ -258,6 +260,7 @@ def test_wrong_number_of_support_lengths(call):
      DomainError, "xi weights must be finite and > 0"),
 ], ids=[
     "psi_hat_short_lens", "psi_hat_nan", "psi_hat_inf", "xi_hat_empty",
+    "sampleset_two_dimensional",
     "gof_single_invalid", "gof_single_valid", "pmv_strings", "pmv_complex",
     "gof_strings", "pearson_ed_strings", "sizes_nan", "sizes_inf",
     "sizes_empty", "psi_negative_weight", "xi_nan_weight",

@@ -14,12 +14,13 @@ and workload, each tree builds its inputs from the seed with its own
 ``--rounds`` rounds.  The two outputs of every op are compared: every field
 of the returned dataclasses (a ``TestReport``'s ``to_dict()`` content, a
 ``RankReport`` with its eigenvalues and ``GcdResult``, a ``SimResult``'s
-entries, ``CanonicalSamples``), arrays by dtype, shape and bytes, floats by
-their bits, CLI exit codes and text, and the class and message of an error
-raised instead.  Each differing op is printed with the path of its first
-difference.  Exit status 1 when an op differs, else 0.  Output checks are
-not run, and ``bulk_data`` writes its CSV files to a temporary directory,
-not under ``bench/``.  Uses numpy and the standard library only.
+entries, ``CanonicalSamples``), dicts with their key order, arrays by
+dtype, shape and bytes, floats by their bits, CLI exit codes and text, and
+the class and message of an error raised instead.  Each differing op is
+printed with the path of its first difference.  Exit status 1 when an op
+differs, else 0.  Output checks are not run, and ``bulk_data`` writes its
+CSV files to a temporary directory, not under ``bench/``.  Uses numpy and
+the standard library only.
 """
 
 import argparse
@@ -70,8 +71,9 @@ def load(root):
 
 def canon(x):
     """A form of an op's output that compares equal exactly when the
-    outputs agree bit for bit: dataclasses and dicts become dicts, lists
-    and tuples lists, and arrays, floats and numpy scalars tagged leaves."""
+    outputs agree bit for bit: dataclasses and dicts become dicts (a dict's
+    key order kept as a list under ``__keys__``), lists and tuples lists,
+    and arrays, floats and numpy scalars tagged leaves."""
     if isinstance(x, np.ndarray):
         return ("ndarray", x.dtype.str, x.shape, x.tobytes())
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
@@ -79,7 +81,7 @@ def canon(x):
                 **{f.name: canon(getattr(x, f.name))
                    for f in dataclasses.fields(x)}}
     if isinstance(x, dict):
-        return {k: canon(v) for k, v in x.items()}
+        return {"__keys__": list(x), **{k: canon(v) for k, v in x.items()}}
     if isinstance(x, (list, tuple)):
         return [canon(v) for v in x]
     if isinstance(x, float):
