@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import (
     DegenerateVariable,
+    DimensionMismatch,
     DomainError,
     EmptySizes,
     InputError,
@@ -54,8 +55,11 @@ __all__ = [
 
 
 def weights_from_sizes(sizes) -> np.ndarray:
-    """Finite-sample weights ``c_i = min(sizes) / n_i``."""
+    """Finite-sample weights ``c_i = min(sizes) / n_i`` of a 1-D ``sizes``."""
     sizes = _real_array(sizes, EmptySizes, "sample sizes").astype(float)
+    if sizes.ndim != 1:
+        raise DimensionMismatch(f"sample sizes must be a 1-D sequence, got "
+                                f"shape {sizes.shape}")
     if not (sizes.size and sizes.min() >= 1 and sizes.max() < np.inf):
         raise EmptySizes(f"need finite sample sizes >= 1, got {sizes.tolist()}")
     return sizes.min() / sizes
@@ -140,11 +144,14 @@ def _true_probs(pmvs, k_min: int, name: str) -> list:
 
 
 def _true_cov(pmvs, weights, k_min: int, name: str) -> np.ndarray:
-    """:func:`_weighted_cov` of true PMVs (:func:`_true_probs`) with
+    """:func:`_weighted_cov` of true PMVs (:func:`_true_probs`) with 1-D
     weights that are finite and > 0, where ``sqrt(c_i p_i)`` is real."""
     probs = _true_probs(pmvs, k_min, name)
     if weights is not None:
         w = _real_array(weights, DomainError, f"{name} weights")
+        if w.ndim != 1:
+            raise DimensionMismatch(f"{name} weights must be a 1-D sequence, "
+                                    f"got shape {w.shape}")
         if not np.all((w > 0) & (w < np.inf)):  # NaN fails too
             raise DomainError(
                 f"{name} weights must be finite and > 0, got {w.tolist()}")

@@ -742,22 +742,27 @@ def subind_test(paired, rank_policy=None, support_lens=None) -> TestReport:
 
 
 def _whitener(sides, weights):
-    """``(W, sigma, products)``: one SVD ``U diag(sigma) V'`` of ``F``, the
-    sides' ``covest._factor`` blocks side by side, and ``W = U_r
-    diag(1 / sigma_r)`` over ``sigma > max(shape) * eps * sigma_max``.
+    """The whitener ``W = U_r diag(1 / sigma_r)`` of one SVD ``U diag(sigma)
+    V'`` of ``F``, the sides' ``covest._factor`` blocks side by side.
 
-    ``W W'`` is the pseudo-inverse of the true covariance ``F F'``, so the
-    oracle statistic of a deviation ``v`` is ``||v W||^2``.  ``sides`` hold
-    probability arrays, ``weights`` the ``c_i`` in side order, and
-    ``products`` is each side's ``pmv._products`` pair.
+    ``sides`` hold probability arrays and ``weights`` the ``c_i`` in side
+    order; a caller may pass more weights than the sides read.  The kept
+    singular values lie above the factor's roundoff floor
+    ``max(shape) * eps * sqrt(sum c_i)``, the sum over the sides' own
+    ``c_i``: an entry of ``F`` is a difference of terms of size
+    ``sqrt(c_i p_ij)``, so its roundoff is eps of that uncentred scale,
+    not of ``sigma_max``, which shrinks as a PMV nears a point mass.
+    ``W W'`` is the pseudo-inverse of the true covariance ``F F'`` at that
+    rank, so the oracle statistic of a deviation ``v`` is ``||v W||^2``
+    and its dof is W's column count.
     """
     weights = iter(weights)
-    products = [_products(side) for side in sides]
-    factor = np.hstack([covest._factor(side, [next(weights) for _ in side], pair)
-                        for side, pair in zip(sides, products)])
+    side_weights = [[next(weights) for _ in side] for side in sides]
+    factor = np.hstack([covest._factor(side, c)
+                        for side, c in zip(sides, side_weights)])
     u, sv, _ = np.linalg.svd(factor, full_matrices=False)
-    keep = symlin._above_cut(sv, max(factor.shape) * _EPS)
-    return u[:, keep] / sv[keep], sv, products
+    floor = max(factor.shape) * _EPS * math.sqrt(sum(map(sum, side_weights)))
+    return u[:, sv > floor] / sv[sv > floor]
 
 
 def oracle_statistics(
@@ -776,10 +781,10 @@ def oracle_statistics(
     ``v`` gives ``||v W||^2`` with the whitener ``W`` of the true
     covariance (:func:`_whitener`), its Moore-Penrose pseudo-inverse form.
     Returns a ``(gof_report, ed_report)`` pair; the second is None without
-    a y side, and ``y`` and ``y_pmvs`` come together.  Default dof is the
-    analytic rank of the true covariance, or its numeric rank when a true
-    PMV has zero cells; ``dof_gf`` / ``dof_ed`` must be integers in
-    ``1..max(1, s)``.
+    a y side, and ``y`` and ``y_pmvs`` come together.  The one SVD of the
+    whitener decides both the statistic and its default dof, the rank of
+    the true covariance: W's column count.  ``dof_gf`` / ``dof_ed`` must
+    be integers in ``1..max(1, s)``.
     """
     x_pmvs = [_as_pmv(p) for p in x_pmvs]
     s = sum(p.r for p in x_pmvs)
@@ -806,13 +811,10 @@ def oracle_statistics(
         )
 
     def report(vec, k, dof):
-        """Report of the first ``k`` sides; dof: analytic, else numeric."""
-        w, sv, products = _whitener(true[:k], weights)
-        if dof is None:
-            dof = _rank_formula(sides[:k], [loo for loo, _ in products]).analytic
-        if dof is None:
-            dof = _numeric_rank(sv * sv)
-        return _report(float(np.square(vec @ w).sum()), dof, "oracle",
+        """Report of the first ``k`` sides; dof: W's rank unless given."""
+        w = _whitener(true[:k], weights)
+        return _report(float(np.square(vec @ w).sum()),
+                       w.shape[1] if dof is None else dof, "oracle",
                        {"warnings": [], "m": int(m)})
 
     gf = report(math.sqrt(m) * (conv_x - z.probs), 1, dof_gf)

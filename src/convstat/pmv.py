@@ -338,13 +338,16 @@ def _products(probs):
 
 
 def convolve(a: PMV, b: PMV) -> PMV:
-    """Discrete convolution: the PMV of ``X + Y`` for independent X, Y."""
-    return PMV(_convolve(a.probs, b.probs))
+    """Discrete convolution: the PMV of ``X + Y`` for independent X, Y.
+
+    Either argument may be anything ``_as_pmv`` reads.
+    """
+    return PMV(_convolve(_as_pmv(a).probs, _as_pmv(b).probs))
 
 
 def convolve_all(pmvs) -> PMV:
     """Left fold of :func:`convolve`; the PMV of a sum of k variables."""
-    pmvs = list(pmvs)
+    pmvs = [_as_pmv(p) for p in pmvs]
     if not pmvs:
         raise EmptyProduct("convolve_all requires at least one PMV")
     return reduce(convolve, pmvs)
@@ -367,13 +370,16 @@ def conv_matrix(v: PMV, cols: int) -> np.ndarray:
     """Convolution matrix of shape ``(v.r + cols, cols)``.
 
     Column j holds ``v.probs`` shifted down by j rows, so that
-    ``conv_matrix(v, w.size) @ w.probs == convolve(v, w).probs``.
+    ``conv_matrix(v, w.size) @ w.probs == convolve(v, w).probs``.  ``cols``
+    must be an integer (``InputError``) of at least 1 (``DimensionMismatch``).
     """
+    cols = _integer("conv_matrix cols", cols)
     if cols < 1:
         raise DimensionMismatch(f"conv_matrix needs at least one column, got {cols}")
-    return _conv_matrix(v.probs, cols)
+    return _conv_matrix(_as_pmv(v).probs, cols)
 
 
 def multinomial_cov(v: PMV) -> np.ndarray:
     """Multinomial covariance ``diag(v) - v v'`` of a one-hot indicator."""
+    v = _as_pmv(v)
     return np.diag(v.probs) - np.outer(v.probs, v.probs)

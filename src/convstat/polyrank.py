@@ -15,7 +15,7 @@ matrix's nullity at a singular-value cut.  The polynomial (``_gcd``) is
 taken only where a gcd is returned: its coefficients are the common null
 vector of the Hankel windows of the matrix's null space.
 
-This module is the one owner of every rank decision: the gcd degree of
+This module owns every rank decision but the oracle's: the gcd degree of
 the leave-one-out PGFs (``_sides_gcd``, the singular values of the
 covariance's own stacked factor with the size-derived cut
 ``max(shape) * eps``, read from the same ``pmv._products`` pass as the
@@ -24,9 +24,11 @@ rank formulas ``s - deg g`` and ``s - deg g - zeros`` (``_rank_formula``).
 The public ``gcd_degree`` / ``gcd_many`` take a relative cut,
 ``GCD_TOL`` by default; ``RANK_TOL`` is the eigenvalue cut.  Every one of
 these cuts, and the trim of trailing coefficients, is
-``symlin._above_cut`` at its own tolerance.  ``covariance_rank``, the
-tests' rank policies and the oracle statistics in :mod:`convstat.hyptest`
-all read ``_rank_formula`` and ``_numeric_rank``; none keeps a copy.
+``symlin._above_cut`` at its own tolerance.  ``covariance_rank`` and the
+tests' rank policies in :mod:`convstat.hyptest` read ``_rank_formula``
+and ``_numeric_rank``; neither keeps a copy.  The oracle statistics do
+not read them: their dof is the rank of the true factor's whitener
+(``hyptest._whitener``).
 """
 
 from dataclasses import dataclass
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import covest, symlin
 from .errors import DimensionMismatch, DomainError, NeedTwoVariables, ZeroInput
-from .pmv import PMV, _as_pmv, _conv_matrix, _products
+from .pmv import PMV, _as_pmv, _conv_matrix, _products, _real
 
 __all__ = [
     "GcdResult",
@@ -173,8 +175,9 @@ def gcd_many(vs, tol: float = GCD_TOL) -> GcdResult:
     The generalized Sylvester matrix has ``n`` columns, the two largest
     input sizes less one, which for two vectors is their Sylvester matrix.
     A single vector (``n`` its size, one row) is its own gcd, normalized.
-    ``tol`` must lie in [0, 1).
+    ``tol`` must be a real number (``InputError``) in [0, 1).
     """
+    tol = _real("gcd tolerance", tol)
     if not 0.0 <= tol < 1.0:
         raise DomainError(f"gcd tolerance must lie in [0, 1), got {tol!r}")
     vs = [_trim(v) for v in vs]
@@ -190,7 +193,7 @@ def leave_one_out(pmvs) -> list:
     For k = 2 this swaps the pair.  Computed with prefix/suffix products
     so the total work is linear in k.
     """
-    pmvs = list(pmvs)
+    pmvs = [_as_pmv(p) for p in pmvs]
     if len(pmvs) < 2:
         raise NeedTwoVariables(
             f"leave_one_out requires k >= 2, got {len(pmvs)}"

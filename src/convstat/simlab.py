@@ -31,11 +31,12 @@ stream; the keys, and so the draws, are those of a fresh
 
 Replicates are drawn a block at a time: each variable's uniforms go row by
 row into one preallocated ``(rows, n_i)`` buffer, and the block is counted
-with one comparison and one row-wise count per count column.  The three
+with one comparison and one row-wise count per count column.  The
 buffers together hold at most ``_DRAW_DOUBLES`` values (the package's bulk
 block size ``pmv._BLOCK``), or one replicate when that is more, so memory
-does not grow with ``L``.
-``sample_scenario`` draws through the same path, one row.
+does not grow with ``L``.  The third sample is drawn only when an ``_ED``
+statistic reads it; ``sample_scenario`` draws all three through the same
+path, one row.
 """
 
 import csv
@@ -77,7 +78,11 @@ _MAX_REPLICATES = 2 ** 62
 
 @dataclass(frozen=True)
 class SimScenario:
-    """One benchmark experiment: model parameters and replication plan."""
+    """One benchmark experiment: model parameters and replication plan.
+
+    ``statistics`` is a nonempty list or tuple of ids from
+    ``ALL_STATISTICS``, stored as a tuple.
+    """
 
     p: float
     q: float
@@ -113,14 +118,19 @@ class SimScenario:
             )
         if not 0.0 < self.alpha < 1.0:
             raise InputError(f"alpha must lie in (0,1), got {self.alpha}")
-        unknown = set(self.statistics) - set(ALL_STATISTICS)
+        statistics = self.statistics
+        if not (isinstance(statistics, (list, tuple)) and statistics
+                and all(isinstance(sid, str) for sid in statistics)):
+            raise InputError(f"statistics must be a nonempty list of names, "
+                             f"got {statistics!r}")
+        unknown = set(statistics) - set(ALL_STATISTICS)
         if unknown:
             raise InputError(f"unknown statistics: {sorted(unknown)}")
         if not 0 <= self.seed < 2 ** 64:
             raise InputError(
                 f"seed must be an integer in [0, 2**64), got {self.seed}"
             )
-        object.__setattr__(self, "statistics", tuple(self.statistics))
+        object.__setattr__(self, "statistics", tuple(statistics))
 
 
 @dataclass(frozen=True)
@@ -196,14 +206,15 @@ def _z_cuts(p: float, q: float, rho: float):
     return z[0], z[0] + z[1]
 
 
-def _uniform_blocks(scn: SimScenario, start: int, stop: int):
+def _uniform_blocks(scn: SimScenario, start: int, stop: int, variables=3):
     """Yield the uniforms of replicates ``start..stop-1`` a block at a time:
-    ``(u1, u2, u3)``, one row per replicate, of widths ``n1``, ``n2``, ``n3``.
+    the first ``variables`` of ``(u1, u2, u3)``, one row per replicate, of
+    widths ``n1``, ``n2``, ``n3``.
 
-    Every block is a view of the same three buffers, so a block is only
-    valid until the next one is drawn.
+    Every block is a view of the same buffers, so a block is only valid
+    until the next one is drawn.
     """
-    sizes = (scn.n1, scn.n2, scn.n3)
+    sizes = (scn.n1, scn.n2, scn.n3)[:variables]
     rows = max(1, min(stop - start, _DRAW_DOUBLES // sum(sizes)))
     buffers = [np.empty((rows, n)) for n in sizes]
     streams = _KeyedStreams(scn.seed)
@@ -274,7 +285,7 @@ class _Context:
                               _chi2_critical(scn.alpha, 2)])
         if any(sid.startswith("Z") for sid in scn.statistics):
             x_true = [np.array([1.0 - b, b]) for b in (scn.p, scn.q)]
-            gf, ed = (hyptest._whitener(sides, self.weights)[0]
+            gf, ed = (hyptest._whitener(sides, self.weights)
                       for sides in ([x_true], [x_true, [self.z_hyp]]))
             self.whiteners = {"GF": gf, "ED": ed}
             self.psi_pinv, self.total_pinv = gf @ gf.T, ed @ ed.T
@@ -285,32 +296,41 @@ def _sample_counts(scn: SimScenario, m: int, start: int, stop: int):
     counts of the paired sums ``x1[:m] + x2[:m]`` and of y.
 
     The counts come straight from the uniforms ``sample_scenario`` draws,
-    so they equal the counts of its output.
+    so they equal the counts of its output.  y is drawn and counted only
+    for a scenario with an ``_ED`` statistic (its counts are None
+    otherwise); the streams are keyed per variable, so x's draws do not
+    change.
     """
+    ed = any(sid.endswith("_ED") for sid in scn.statistics)
     cut0, cut1 = _z_cuts(scn.p, scn.q, scn.rho)
     # One row per count: ones in x1[m:] and x2[m:] (the heads are added
-    # below), ones in x1[:m] and x2[:m], both ones, y >= 1 and y >= 2.
-    counts = np.empty((7, stop - start), dtype=np.int64)
+    # below), ones in x1[:m] and x2[:m], both ones, then y >= 1 and y >= 2.
+    counts = np.empty((7 if ed else 5, stop - start), dtype=np.int64)
     lo = 0
-    for u1, u2, u3 in _uniform_blocks(scn, start, stop):
+    for u1, u2, *u3 in _uniform_blocks(scn, start, stop, 3 if ed else 2):
         b1, b2 = u1 < scn.p, u2 < scn.q
         h1, h2 = b1[:, :m], b2[:, :m]
         hi = lo + len(u1)
-        for col, flags in enumerate((b1[:, m:], b2[:, m:], h1, h2, h1 & h2,
-                                     u3 >= cut0, u3 >= cut1)):
-            flags.sum(axis=1, out=counts[col, lo:hi])  # trues per row
+        flags = [b1[:, m:], b2[:, m:], h1, h2, h1 & h2]
+        flags += [u >= cut for u in u3 for cut in (cut0, cut1)]  # y if drawn
+        for col, flag in enumerate(flags):
+            flag.sum(axis=1, out=counts[col, lo:hi])  # trues per row
         lo = hi
-    head1, head2, both, y_ge1, y_ge2 = counts[2:]
+    head1, head2, both = counts[2:5]
     ones = (counts[:2] + counts[2:4]).T
     sum_counts = np.stack([m - head1 - head2 + both, head1 + head2 - 2 * both,
                            both], axis=-1)
+    if not ed:
+        return ones, sum_counts, None
+    y_ge1, y_ge2 = counts[5:]
     y_counts = np.stack([scn.n3 - y_ge1, y_ge1 - y_ge2, y_ge2], axis=-1)
     return ones, sum_counts, y_counts
 
 
 def _block_statistics(ctx: _Context, start: int, stop: int) -> dict:
     """``{statistic id: (values, dof, fallback mask)}`` for the replicates
-    ``start..stop-1``, computed on their stacked empirical PMVs."""
+    ``start..stop-1``, computed on their stacked empirical PMVs; the ED
+    family and ``P_ED`` only when an ``_ED`` statistic is requested."""
     scn = ctx.scn
     wanted = set(scn.statistics)
     ones, sum_counts, y_counts = _sample_counts(scn, ctx.m, start, stop)
@@ -319,11 +339,13 @@ def _block_statistics(ctx: _Context, start: int, stop: int) -> dict:
     none = np.zeros(stop - start, dtype=bool)
     stats = {
         "P_GF": (hyptest._pearson_gof_stat(sum_counts, ctx.z_hyp), 2, none),
-        "P_ED": (*hyptest._pearson_ed_stat(sum_counts, y_counts), none),
     }
-    y_hat = y_counts / scn.n3
-    for fam, sides, hyp in (("GF", [x_probs], ctx.z_hyp),
-                            ("ED", [x_probs, [y_hat]], y_hat)):
+    families = [("GF", [x_probs], ctx.z_hyp)]
+    if y_counts is not None:
+        stats["P_ED"] = (*hyptest._pearson_ed_stat(sum_counts, y_counts), none)
+        y_hat = y_counts / scn.n3
+        families.append(("ED", [x_probs, [y_hat]], y_hat))
+    for fam, sides, hyp in families:
         c_ids, z_ids = {f"C1_{fam}", f"C2_{fam}"}, {f"Z1_{fam}", f"Z2_{fam}"}
         if not wanted & (c_ids | z_ids):
             continue
@@ -497,17 +519,10 @@ def load_config(path):
     missing = [k for k in required if k not in raw]
     if missing:
         raise InputError(f"config {path}: missing keys {missing}")
-    statistics = raw.get("statistics", list(ALL_STATISTICS))
-    if not (isinstance(statistics, list)
-            and all(isinstance(sid, str) for sid in statistics)):
-        raise InputError(
-            f"config {path}: statistics must be a list of names, got "
-            f"{statistics!r}"
-        )
     try:
         scn = SimScenario(
             alpha=raw.get("alpha", 0.05),
-            statistics=tuple(statistics),
+            statistics=raw.get("statistics", ALL_STATISTICS),
             **{key: raw[key] for key in required},
         )
     except InputError as exc:

@@ -14,9 +14,12 @@ construction, so their zero eigenvalues come out as roundoff of either
 sign at that scale, and every rank or pseudo-inverse cut is taken
 relative to the largest magnitude.  That cut, ``|x| > tol * max|x|``, is
 made in one place, :func:`_above_cut`; the pseudo-inverse here, the Wald
-forms, fixed-rank check and oracle whitener in :mod:`convstat.hyptest`,
-and the eigenvalue, singular-value and trailing-coefficient cuts in
-:mod:`convstat.polyrank` all read it.
+forms and fixed-rank check in :mod:`convstat.hyptest`, and the
+eigenvalue, singular-value and trailing-coefficient cuts in
+:mod:`convstat.polyrank` all read it.  The oracle whitener in
+:mod:`convstat.hyptest` does not: it cuts the true factor's singular
+values at that factor's absolute roundoff floor.  Scalars and matrices
+from a caller pass ``pmv._real`` / ``_integer`` / ``_real_array``.
 
 Every consumer inside the package reads :func:`_spectrum`: each squares
 projections or forms ``V diag V'``, where a column's sign cancels exactly,
@@ -31,10 +34,12 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DomainError,
+    InputError,
     NoConvergence,
     NotSymmetric,
     RankOutOfRange,
 )
+from .pmv import _integer, _real, _real_array
 
 __all__ = [
     "EigenDecomp",
@@ -75,10 +80,11 @@ def ensure_symmetric(a, name: str = "matrix") -> np.ndarray:
     """Validate finiteness and symmetry within 1e-12 * max|A|.
 
     Accepts one matrix or a stack of shape ``(..., d, d)``, each checked
-    against its own scale.  Returns (A + A') / 2.  NaN or infinite entries
-    raise ``DomainError``; an empty matrix or stack ``DimensionMismatch``.
+    against its own scale.  Returns (A + A') / 2.  Entries that are not
+    real numbers (``pmv._real_array``), NaN or infinite raise
+    ``DomainError``; an empty matrix or stack ``DimensionMismatch``.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.asarray(_real_array(a, DomainError, name), dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NotSymmetric(f"{name} must be square, got shape {a.shape}")
     if a.size == 0:
@@ -149,8 +155,9 @@ def rank_r_approx(a, r: int) -> np.ndarray:
 
     Keeps the r algebraically largest eigenvalues and zeroes the rest; ties
     are broken by the deterministic ordering of :func:`eigh`.  A stack of
-    matrices gives a stack of approximations.
+    matrices gives a stack of approximations.  ``r`` must be an integer.
     """
+    r = _integer("rank r", r)
     dec = _spectrum(ensure_symmetric(a))
     d = dec.values.shape[-1]
     if not 0 < r <= d:
@@ -165,8 +172,11 @@ def pinv(a, tol: float = PINV_TOL) -> np.ndarray:
 
     Eigenvalues with ``|lam| > tol * max|lam|`` are inverted, others
     zeroed.  The zero matrix maps to the zero matrix.  A stack of matrices
-    gives a stack of pseudo-inverses.
+    gives a stack of pseudo-inverses.  ``tol`` must lie in [0, 1).
     """
+    tol = _real("pinv tolerance", tol)
+    if not 0.0 <= tol < 1.0:
+        raise DomainError(f"pinv tolerance must lie in [0, 1), got {tol!r}")
     dec = _spectrum(ensure_symmetric(a))
     keep = _above_cut(dec.values, tol)
     inv = np.where(keep, 1.0 / np.where(keep, dec.values, 1.0), 0.0)
@@ -174,9 +184,9 @@ def pinv(a, tol: float = PINV_TOL) -> np.ndarray:
 
 
 def quad_form(vec, a) -> float:
-    """Quadratic form ``v' A v``."""
-    vec = np.asarray(vec, dtype=float)
-    a = np.asarray(a, dtype=float)
+    """Quadratic form ``v' A v`` of real arrays (``DomainError`` else)."""
+    vec = np.asarray(_real_array(vec, DomainError, "quad_form vector"), float)
+    a = np.asarray(_real_array(a, DomainError, "quad_form matrix"), float)
     if vec.ndim != 1 or a.shape != (vec.size, vec.size):
         raise DimensionMismatch(
             f"quad_form got vector of size {vec.size} and matrix {a.shape}"
@@ -189,12 +199,18 @@ def chi2_sf(t: float, r: int) -> float:
 
     Evaluates the regularized upper incomplete gamma function Q(r/2, t/2)
     by the exact finite series (even r) or the erfc-based recurrence
-    (odd r); both are accurate well below 1e-12 absolute error.
+    (odd r); both are accurate well below 1e-12 absolute error.  ``t``
+    must be a real number (``InputError``), neither NaN nor negative
+    (``DomainError``).
     """
-    if isinstance(r, bool) or int(r) != r or int(r) < 1:
+    try:
+        dof = _integer("degrees of freedom", r)
+    except InputError:
+        dof = 0
+    if dof < 1:
         raise DomainError(f"degrees of freedom must be an integer >= 1, got {r!r}")
-    r = int(r)
-    t = float(t)
+    r = dof
+    t = _real("chi2_sf statistic t", t)
     if math.isnan(t):
         raise DomainError("chi2_sf received NaN")
     if t < 0.0:

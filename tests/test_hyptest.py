@@ -33,6 +33,7 @@ from convstat import (
     pearson_ed,
     pearson_gof,
     psi,
+    hyptest,
     subind_test,
 )
 from convstat.hyptest import _psd_wald
@@ -817,3 +818,61 @@ class TestOracleDefaultDof:
                 assert covariance_rank(x_pmvs).analytic_rank is None
             assert gf.dof == self.expected(covariance_rank(x_pmvs))
             assert ed.dof == self.expected(covariance_rank(x_pmvs, y_pmvs))
+
+
+class TestOracleRankCut:
+    """The whitener's one SVD decides the oracle's value and its dof: it
+    keeps the singular values of the true factor above its roundoff floor
+    ``max(shape) * eps * sqrt(sum c_i)``, whatever ``sigma_max`` is."""
+
+    @staticmethod
+    def family(rng, k, r, smallest):
+        """k PMVs of support degree r, one entry ``10**smallest`` or more."""
+        pmvs = []
+        for _ in range(k):
+            w = 10.0 ** rng.uniform(smallest, 0.0, r + 1)
+            pmvs.append(PMV(w / w.sum()))
+        return pmvs
+
+    def test_near_point_masses_give_a_chi2_sized_value(self):
+        truths = [PMV([1 - 1e-4, 1e-4])] * 2
+        rng = np.random.default_rng(1)
+        x = [rng.choice(2, 20000, p=p.probs) for p in truths]
+        gf, _ = oracle_statistics(x, truths)
+        assert gf.dof == 1
+        assert gf.statistic < 10.0
+
+    def test_rank_is_at_most_s_down_to_roundoff_entries(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            k, r = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            x_pmvs = self.family(rng, k, r, -14.0)
+            y_pmvs = x_pmvs[::-1]
+            s = k * r
+            x = [rng.choice(p.support_len, 50, p=p.probs) for p in x_pmvs]
+            weights = np.ones(2 * k)
+            for sides, report in zip(
+                    ([[p.probs for p in x_pmvs]],
+                     [[p.probs for p in x_pmvs], [p.probs for p in y_pmvs]]),
+                    oracle_statistics(x, x_pmvs, y=x[::-1], y_pmvs=y_pmvs)):
+                w = hyptest._whitener(sides, weights)
+                assert 1 <= w.shape[1] <= s
+                assert report.dof == w.shape[1]
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("r", [1, 3, 6])
+    @pytest.mark.parametrize("shared", [False, True], ids=["plain", "shared"])
+    def test_default_dof_is_the_analytic_rank(self, k, r, shared):
+        rng = np.random.default_rng(100 * k + r)
+        for _ in range(20):
+            x_pmvs = self.family(rng, k, r if not shared else r - 1, -3.0)
+            if shared:
+                root = PMV([1.0, rng.uniform(0.5, 2.0)])
+                x_pmvs = [convolve(root, p) for p in x_pmvs]
+            if min(p.probs.min() for p in x_pmvs) < 1e-3:
+                continue
+            y_pmvs = x_pmvs[::-1]
+            x = [rng.choice(p.support_len, 60, p=p.probs) for p in x_pmvs]
+            gf, ed = oracle_statistics(x, x_pmvs, y=x[::-1], y_pmvs=y_pmvs)
+            assert gf.dof == covariance_rank(x_pmvs).analytic_rank
+            assert ed.dof == covariance_rank(x_pmvs, y_pmvs).analytic_rank

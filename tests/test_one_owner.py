@@ -177,13 +177,15 @@ def test_the_folded_helpers_are_gone():
     assert not {"_resolve_dof", "_base_diagnostics"} & set(FUNCTIONS)
 
 
-def test_only_the_wald_report_and_the_oracle_read_the_rank_formula():
-    def calls_formula(node):
-        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "_rank_formula")
+def test_only_the_wald_report_reads_the_rank_formula():
+    # the oracle's dof is its whitener's rank, not a second decision
+    for name in ("_rank_formula", "_numeric_rank"):
+        def calls(node):
+            return (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == name)
 
-    assert _functions_with(calls_formula) == {"_wald_report",
-                                              "oracle_statistics"}
+        assert _functions_with(calls) == {"_wald_report"}
 
 
 def test_only_the_wald_report_downgrades_a_policy():

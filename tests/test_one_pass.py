@@ -5,7 +5,8 @@ and the Wald vector, the covariance factor and the Sylvester gcd all read
 that one pass.  These tests count the passes, and the ``convolve_all``
 folds, inside every public test and ``covariance_rank``, so a second pass
 cannot come back unnoticed.  A rank decision takes one singular-value pass,
-and only ``covariance_rank`` goes on to the gcd's coefficients.
+and only ``covariance_rank`` goes on to the gcd's coefficients; an oracle
+report's one SVD, its whitener's, gives both its value and its dof.
 """
 
 import sys
@@ -119,7 +120,7 @@ def test_rank_decision_takes_singular_values_only(svds, call, policy):
 def test_oracle_decision_takes_singular_values_only(svds):
     gof, _ = oracle_statistics(SHARED, [PMV([0.4, 0.6])] * 3)
     assert gof.dof == 1
-    assert svds == [True, False]  # the whitener, then the gcd degree
+    assert svds == [True]  # the whitener decides the value and the dof
 
 
 def test_covariance_rank_recovers_the_gcd(svds):

@@ -23,19 +23,32 @@ from convstat import (
     PMV,
     CanonicalSamples,
     SampleSet,
+    SimScenario,
     TestReport,
     canonicalize,
+    chi2_sf,
     cli,
+    conv_matrix,
+    convolve,
+    convolve_all,
     covariance_rank,
     ed_test,
     empirical_pmv,
+    ensure_symmetric,
+    gcd_degree,
+    gcd_many,
     gof_test,
+    leave_one_out,
+    multinomial_cov,
     oracle_statistics,
     pearson_ed,
     pearson_gof,
+    pinv,
     pmv,
     psi,
     psi_hat,
+    quad_form,
+    rank_r_approx,
     subind_test,
     symlin,
     upsilon_hat,
@@ -171,6 +184,11 @@ PMV_CALLS = {
     "oracle_x_pmvs": lambda bad: oracle_statistics([GOOD, GOOD], [HALF, bad]),
     "oracle_z": lambda bad: oracle_statistics([GOOD, GOOD], [HALF, HALF],
                                               z=bad),
+    "convolve": lambda bad: convolve(HALF, bad),
+    "convolve_all": lambda bad: convolve_all([HALF, bad]),
+    "conv_matrix": lambda bad: conv_matrix(bad, 2),
+    "multinomial_cov": multinomial_cov,
+    "leave_one_out": lambda bad: leave_one_out([HALF, bad]),
 }
 BAD_WEIGHTS = {
     "nan": [math.nan, 1.0],
@@ -180,6 +198,8 @@ BAD_WEIGHTS = {
     "strings": ["a", "1"],
     "complex": [1j, 1.0],
     "ragged": [[1, 2], [3]],
+    "two_dimensional": [[1.0, 2.0]],
+    "scalar": 2.0,
 }
 WEIGHT_CALLS = {
     "psi": lambda w: psi([HALF, THIRDS], w),
@@ -258,12 +278,66 @@ def test_wrong_number_of_support_lengths(call):
      DomainError, "psi weights must be finite and > 0"),
     (lambda: xi([HALF], [math.nan]),
      DomainError, "xi weights must be finite and > 0"),
+    (lambda: psi([HALF, HALF], [[1, 2]]), DimensionMismatch,
+     r"psi weights must be a 1-D sequence, got shape \(1, 2\)"),
+    (lambda: xi([HALF], 2.0),
+     DimensionMismatch, r"xi weights must be a 1-D sequence, got shape \(\)"),
+    (lambda: weights_from_sizes([[1, 2]]),
+     DimensionMismatch, "sample sizes must be a 1-D sequence"),
+    (lambda: weights_from_sizes(3), DimensionMismatch,
+     r"sample sizes must be a 1-D sequence, got shape \(\)"),
+    (lambda: conv_matrix(HALF, 2.5),
+     InputError, "conv_matrix cols must be an integer, got 2.5"),
+    (lambda: conv_matrix(HALF, "2"),
+     InputError, "conv_matrix cols must be an integer, got '2'"),
+    (lambda: chi2_sf("3", 1), InputError, "must be a number, got '3'"),
+    (lambda: chi2_sf(True, 1), InputError, "must be a number, got True"),
+    (lambda: chi2_sf(None, 1), InputError, "must be a number, got None"),
+    (lambda: chi2_sf(1.0, 1.5),
+     DomainError, "degrees of freedom must be an integer >= 1, got 1.5"),
+    (lambda: chi2_sf(1.0, None),
+     DomainError, "degrees of freedom must be an integer >= 1, got None"),
+    (lambda: rank_r_approx(np.eye(2), 1.5),
+     InputError, "rank r must be an integer, got 1.5"),
+    (lambda: pinv(np.eye(2), tol="1e-3"),
+     InputError, "pinv tolerance must be a number"),
+    (lambda: pinv(np.diag([1.0, 0.0]), tol=-1),
+     DomainError, r"pinv tolerance must lie in \[0, 1\)"),
+    (lambda: pinv(np.eye(2), tol=math.nan),
+     DomainError, r"pinv tolerance must lie in \[0, 1\)"),
+    (lambda: gcd_many([[1, 2]], tol="0.1"),
+     InputError, "gcd tolerance must be a number"),
+    (lambda: gcd_degree([1, 2], [1, 3], tol=None),
+     InputError, "gcd tolerance must be a number, got None"),
+    (lambda: ensure_symmetric([["a"]]),
+     DomainError, "matrix must be real numbers"),
+    (lambda: quad_form(["a"], [[1]]),
+     DomainError, "quad_form vector must be real numbers"),
+    (lambda: quad_form([1], [["a"]]),
+     DomainError, "quad_form matrix must be real numbers"),
+    (lambda: SimScenario(p=0.3, q=0.8, rho=0.2, n1=5, n2=5, n3=5, L=4,
+                         statistics=None),
+     InputError, "statistics must be a nonempty list of names, got None"),
+    (lambda: SimScenario(p=0.3, q=0.8, rho=0.2, n1=5, n2=5, n3=5, L=4,
+                         statistics="P_GF"),
+     InputError, "statistics must be a nonempty list of names, got 'P_GF'"),
+    (lambda: SimScenario(p=0.3, q=0.8, rho=0.2, n1=5, n2=5, n3=5, L=4,
+                         statistics=()),
+     InputError, r"statistics must be a nonempty list of names, got \(\)"),
 ], ids=[
     "psi_hat_short_lens", "psi_hat_nan", "psi_hat_inf", "xi_hat_empty",
     "sampleset_two_dimensional",
     "gof_single_invalid", "gof_single_valid", "pmv_strings", "pmv_complex",
     "gof_strings", "pearson_ed_strings", "sizes_nan", "sizes_inf",
     "sizes_empty", "psi_negative_weight", "xi_nan_weight",
+    "psi_two_dimensional_weights", "xi_scalar_weight",
+    "sizes_two_dimensional", "sizes_scalar", "conv_matrix_fraction",
+    "conv_matrix_string", "chi2_sf_string", "chi2_sf_bool", "chi2_sf_none",
+    "chi2_sf_fraction_dof", "chi2_sf_none_dof", "rank_r_fraction",
+    "pinv_string_tol", "pinv_negative_tol", "pinv_nan_tol",
+    "gcd_many_string_tol", "gcd_degree_none_tol", "ensure_symmetric_strings",
+    "quad_form_string_vector", "quad_form_string_matrix",
+    "statistics_none", "statistics_string", "statistics_empty",
 ])
 def test_named_refusals(call, error, message):
     with pytest.raises(error, match=message):
@@ -290,6 +364,14 @@ def test_an_empirical_pmv_is_accepted_as_a_pmv():
     assert covariance_rank([e, HALF]).s == 3
     gf, _ = oracle_statistics(X, [e, HALF], z=pmv.EmpiricalPMV(Z, 1))
     assert gf == oracle_statistics(X, [e.pmv, HALF], z=Z)[0]
+    probs = e.pmv.probs.tolist()
+    for p in (e, probs):
+        assert convolve(p, HALF) == convolve(e.pmv, HALF)
+        assert convolve_all([HALF, p]) == convolve_all([HALF, e.pmv])
+        assert np.array_equal(conv_matrix(p, 2), conv_matrix(e.pmv, 2))
+        assert np.array_equal(multinomial_cov(p), multinomial_cov(e.pmv))
+        assert leave_one_out([p, HALF]) == leave_one_out([e.pmv, HALF])
+    assert convolve_all([probs]) == e.pmv
 
 
 # -- PMV dunders -------------------------------------------------------------

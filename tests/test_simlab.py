@@ -415,6 +415,52 @@ class TestOracleAgreement:
                         report.statistic, rel=1e-12, abs=1e-12 * (v @ v))
 
 
+class TestOracleNearPointMasses:
+    def test_gf_whitener_drops_the_roundoff_direction(self):
+        # Bernoulli(1e-4) and (3e-4): the true GF covariance has rank 2, and
+        # a cut relative to sigma_max kept the ones vector's roundoff too
+        ctx = _Context(scenario(p=1e-4, q=3e-4, n1=20000, n2=20000,
+                                n3=20000, statistics=("Z2_GF",)))
+        assert ctx.whiteners["GF"].shape[1] <= 2
+
+
+class TestDrawsOnlyWhatIsRead:
+    @pytest.fixture
+    def variables(self, monkeypatch):
+        """The variable index of every ``_KeyedStreams.uniform`` draw."""
+        seen = []
+        original = _KeyedStreams.uniform
+
+        def counted(self, replicate, variable, n=None, out=None):
+            seen.append(variable)
+            return original(self, replicate, variable, n, out)
+
+        monkeypatch.setattr(_KeyedStreams, "uniform", counted)
+        return seen
+
+    @pytest.mark.parametrize("draw, drawn", [
+        (lambda: run_scenario(scenario(L=20, statistics=("P_GF", "C1_GF",
+                                                         "Z2_GF"))), {0, 1}),
+        (lambda: run_scenario(scenario(L=20, statistics=("C1_GF", "P_ED"))),
+         {0, 1, 2}),
+        (lambda: sample_scenario(scenario(statistics=("C1_GF",)), 3),
+         {0, 1, 2}),
+    ], ids=["gf_scenario", "ed_scenario", "sample_scenario"])
+    def test_draws_only_the_samples_read(self, variables, draw, drawn):
+        draw()
+        assert set(variables) == drawn
+
+    def test_gf_counts_equal_those_of_an_ed_scenario(self):
+        gf = scenario(p=0.4, q=0.6, n1=7, n2=4, n3=9, L=30,
+                      statistics=("C2_GF",))
+        ones, sum_counts, y_counts = _sample_counts(gf, 4, 0, gf.L)
+        assert y_counts is None
+        both = _sample_counts(dataclasses.replace(gf, statistics=("P_ED",)),
+                              4, 0, gf.L)
+        assert np.array_equal(ones, both[0])
+        assert np.array_equal(sum_counts, both[1])
+
+
 class TestRegressionCounts:
     # Rejection and fallback counts of all ten statistics, recorded with
     # the per-replicate implementation the stacked core replaced.
